@@ -1,10 +1,16 @@
-"""Stochastic noise description: per-gate depolarizing rates, readout flips, drift.
+"""Stochastic noise description and the one trajectory channel every sampler uses.
 
-The simulator realizes depolarizing noise as trajectory sampling: after each
-gate, with the gate's error probability, a uniformly random non-identity
-Pauli is injected on the gate's qubits (3 choices for 1q gates, 15 for 2q).
-Readout errors are independent bit flips at measurement. A drift schedule
-adds a cyclic-plus-random offset to every error rate, indexed by shot.
+After each gate, each of its noisy sites is hit with the site's error rate by
+a uniformly random non-identity Pauli (`PAULI_LABELS`). A 1q or 2q gate is one
+site over its targets; an n-qubit Pauli layer is n 1q sites at its 1q rate.
+Readout bits flip independently. A drift schedule adds a per-shot offset to
+every rate, gate and readout alike (RB's readout too); rates clip to [0, 1].
+
+Draw layout: for each gate in order, and each of its sites whose clipped rate
+is above 0 for some shot, `rng.random(batch) < rates` then
+`rng.integers(0, len(labels), batch)`; after sampling, for each measured qubit
+in order whose clipped readout rate is above 0 for some shot, one
+`rng.random(batch) < rates`.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .circuits import GateKind, TWO_QUBIT_KINDS
+from .circuits import Gate, GateKind, TWO_QUBIT_KINDS
 from .errors import ValidationError
 from .rng import SeedStream
 
@@ -62,6 +68,13 @@ def drift_rate_at(schedule: DriftSchedule, base_rate: float, shot_index: int) ->
     return float(min(1.0, max(0.0, base_rate + offset)))
 
 
+#: non-identity Pauli labels of a 1q or 2q site, indexed by the drawn choice
+PAULI_LABELS = {
+    1: ("X", "Y", "Z"),
+    2: tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:],
+}
+
+
 _ONE_QUBIT_GATE_KINDS = frozenset(
     k for k in GateKind
     if k not in TWO_QUBIT_KINDS and k not in (GateKind.MEASURE, GateKind.BARRIER, GateKind.PAULI)
@@ -105,6 +118,10 @@ class NoiseModel:
         if kind in self.gate_error:
             return self.gate_error[kind]
         return self.default_2q if kind in TWO_QUBIT_KINDS else self.default_1q
+
+    def shot_offsets(self, shots: int) -> np.ndarray | None:
+        """Per-shot drift offsets for shots 0..shots-1, or None without a drift schedule."""
+        return self.drift.offsets_for(shots) if self.drift is not None else None
 
     def element_error(self, n_qubits: int) -> float:
         """Per-element rate for composite units (1 or 2 qubit Clifford elements)."""
@@ -159,3 +176,51 @@ class NoiseModel:
             default_2q=clamp(self.default_2q),
             drift=self.drift,
         )
+
+
+def _clipped(base: float, offsets: np.ndarray | None) -> np.ndarray | float:
+    return np.clip(base + offsets, 0.0, 1.0) if offsets is not None else base
+
+
+def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
+    """(hit shots, index into `PAULI_LABELS[n_qubits]` per hit), or None if the site cannot fire.
+
+    The choice is drawn for every shot, so the layout does not depend on the hits.
+    """
+    rates = _clipped(rate, offsets)
+    if not np.any(np.asarray(rates) > 0):
+        return None
+    hit = rng.random(batch) < rates
+    choice = rng.integers(0, len(PAULI_LABELS[n_qubits]), size=batch)
+    rows = np.flatnonzero(hit)
+    return rows, choice[rows]
+
+
+def draw_gate_errors(noise: NoiseModel, gate: Gate, offsets: np.ndarray | None, batch: int,
+                     rng: np.random.Generator) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """(qubits, hit shots, label index per hit) for every site of `gate` that can fire.
+
+    A Pauli layer is one 1q site per target; any other gate is one site over its targets.
+    """
+    if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
+        return []
+    rate = noise.error_for(gate.kind, gate.targets)
+    sites = [(t,) for t in gate.targets] if gate.kind is GateKind.PAULI else [gate.targets]
+    drawn = []
+    for qubits in sites:
+        site = draw_site(rate, offsets, batch, len(qubits), rng)
+        if site is not None:
+            drawn.append((qubits, *site))
+    return drawn
+
+
+def draw_readout_flips(noise: NoiseModel, qubits, offsets: np.ndarray | None, batch: int,
+                       rng: np.random.Generator) -> list[tuple[int, np.ndarray]]:
+    """(qubit, per-shot flip mask) for each measured qubit, in order, whose readout can flip."""
+    flips = []
+    for q in qubits:
+        rates = _clipped(noise.readout_for(q), offsets)
+        if np.any(np.asarray(rates) > 0):
+            flips.append((q, rng.random(batch) < rates))
+    return flips

@@ -27,14 +27,17 @@ from .metrics import (
     CollisionStats, collision_volume, hellinger_distance, hog_probability, l1_distance,
     xeb_alpha,
 )
-from .noise import NoiseModel
+from .noise import NoiseModel, draw_readout_flips, draw_site
 from .randgen import (
     VolumetricShape, layered_model_circuit, make_mirror_circuit, qv_model_circuit,
     random_clifford_circuit, volumetric_family,
 )
 from .rng import SeedStream
 from .stabilizer import stabilizer_sample
-from .statevector import DEFAULT_WIDTH_CAP, apply_unitary_batch, ideal_distribution, run_statevector, sample_counts
+from .statevector import (
+    DEFAULT_WIDTH_CAP, _apply_paulis, _sample_rows, apply_unitary_batch, ideal_distribution,
+    run_statevector, sample_counts,
+)
 from .transpile import TranspileConfig, run_pipeline
 
 #: one-sided 97.5% normal quantile used by the quantum-volume pass rule
@@ -213,24 +216,6 @@ def run_volumetric(device: DeviceModel, noise: NoiseModel | None,
 
 # -- randomized benchmarking ------------------------------------------------------
 
-_PAULI_1 = [np.array(m, dtype=complex) for m in (
-    [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
-
-
-def _pauli_ops(n: int) -> list[np.ndarray]:
-    if n == 1:
-        return _PAULI_1
-    ops = []
-    eye = np.eye(2, dtype=complex)
-    singles = [eye] + _PAULI_1
-    for i, a in enumerate(singles):
-        for j, b in enumerate(singles):
-            if i == 0 and j == 0:
-                continue
-            ops.append(np.kron(a, b))
-    return ops
-
-
 @dataclass
 class RbResult:
     n_qubits: int
@@ -286,17 +271,20 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
 
     Each sampled Clifford element counts as one noisy unit with the noise
     model's per-element depolarizing rate; the closing element is the exact
-    group inverse of the sequence, so the noiseless survival is 1.
+    group inverse of the sequence, so the noiseless survival is 1. Errors and
+    readout flips are drawn with the channel of `qbench.noise`, so drift
+    shifts the readout rates as well as the element rate.
     """
     if n_qubits not in (1, 2):
         raise ValidationError("randomized benchmarking supports 1 or 2 qubits")
     if len(set(lengths)) < 2:
         raise ValidationError("need at least 2 distinct sequence lengths to fit a decay")
     group = clifford_group(n_qubits)
-    paulis = _pauli_ops(n_qubits)
     dim = 1 << n_qubits
-    rate = noise.element_error(n_qubits) if noise is not None else 0.0
-    readout = [noise.readout_for(q) for q in range(n_qubits)] if noise is not None else [0.0] * n_qubits
+    qubits = tuple(range(n_qubits))
+    noise = noise if noise is not None else NoiseModel()
+    rate = noise.element_error(n_qubits)
+    offsets = noise.shot_offsets(shots)
 
     survivals: list[list[float]] = []
     for li, m in enumerate(lengths):
@@ -310,21 +298,14 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
 
             states = np.zeros((shots, dim), dtype=complex)
             states[:, 0] = 1.0
-            offsets = noise.drift.offsets_for(shots) if noise is not None and noise.drift else None
             for u in unitaries:
                 states = states @ u.T
-                eff = rate if offsets is None else np.clip(rate + offsets, 0.0, 1.0)
-                hit = rng.random(shots) < eff
-                choice = rng.integers(0, len(paulis), size=shots)
-                if np.any(hit):
-                    for pi in np.unique(choice[hit]):
-                        rows = np.nonzero(hit & (choice == pi))[0]
-                        states[rows] = states[rows] @ paulis[pi].T
-            outcomes = _sample_batch(states, rng)
-            for q, ro in enumerate(readout):
-                if ro > 0:
-                    flips = rng.random(shots) < ro
-                    outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
+                drawn = draw_site(rate, offsets, shots, n_qubits, rng)
+                if drawn is not None:
+                    states = _apply_paulis(states, qubits, *drawn, n_qubits)
+            outcomes = _sample_rows(np.abs(states) ** 2, rng)
+            for q, flips in draw_readout_flips(noise, qubits, offsets, shots, rng):
+                outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
             per_seq.append(float(np.mean(outcomes == 0)))
         survivals.append(per_seq)
 
@@ -333,14 +314,6 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
     error = (dim - 1) * (1.0 - decay) / dim
     return RbResult(n_qubits, list(lengths), means, survivals, amplitude, decay, offset,
                     error, residual, shots, stream.as_record())
-
-
-def _sample_batch(states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    probs = np.abs(states) ** 2
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1][:, None]
-    u = rng.random(states.shape[0])
-    return (cum < u[:, None]).sum(axis=1).astype(np.int64)
 
 
 # -- mirror benchmarking -----------------------------------------------------------
@@ -488,6 +461,8 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
     """
     if snapshots < 1:
         raise ValidationError("need at least one snapshot")
+    if not observables:
+        raise ValidationError("need at least one observable")
     if any(g.kind is GateKind.MEASURE for g in prep.all_gates()):
         raise ValidationError("the preparation circuit must be measurement-free")
     n = prep.n_qubits

@@ -86,10 +86,14 @@ class RunConfig:
             device = DeviceModel.load(path)
         else:
             device = DeviceModel.from_json(dev)
+        protocols = list(doc.get("protocols", []))
+        for entry in protocols:
+            if not isinstance(entry, Mapping) or not isinstance(entry.get("name"), str):
+                raise ValidationError(f"protocol entry {entry!r} is not a mapping with a string 'name'")
         peak = doc.get("peak")
         return cls(
             device=device,
-            protocols=list(doc.get("protocols", [])),
+            protocols=protocols,
             verification=dict(doc.get("verification", {})),
             noise=dict(doc.get("noise", {})),
             peak=TranspileConfig.from_json({**peak, "mode": "peak"}) if peak else None,

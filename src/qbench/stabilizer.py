@@ -15,7 +15,7 @@ import numpy as np
 from .circuits import CLIFFORD_KINDS, Circuit, Gate, GateKind
 from .distributions import SampleSet
 from .errors import NonCliffordError, ValidationError
-from .noise import NoiseModel
+from .noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
 
 STABILIZER_WIDTH_CAP = 1000
 
@@ -149,8 +149,7 @@ class StabilizerTableau:
         z_rows = sz[k:]
         z_par = sr[k:]
 
-        c0 = _gf2_solve(z_rows, z_par)
-        basis = _gf2_nullspace(z_rows, n)
+        c0, basis = _gf2_solve(z_rows, z_par)
         if basis.shape[0] != k:
             raise ValidationError("inconsistent stabilizer outcome space")
         return c0, basis
@@ -182,12 +181,12 @@ def _rowmult_phase(xh, zh, rh, xi, zi, ri) -> np.uint8:
     return np.uint8(total // 2)
 
 
-def _gf2_solve(rows: np.ndarray, parity: np.ndarray) -> np.ndarray:
-    """One solution c of rows @ c = parity over GF(2); rows may be empty."""
+def _gf2_solve(rows: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, basis): rows @ x = parity over GF(2) iff x in c xor span(basis); rows may be empty."""
     n = rows.shape[1]
-    a = np.concatenate([rows.copy(), parity.reshape(-1, 1).astype(np.uint8)], axis=1)
+    a = np.concatenate([rows, parity.reshape(-1, 1)], axis=1).astype(np.uint8)
     m = a.shape[0]
-    piv_cols = []
+    piv_cols: list[int] = []
     row = 0
     for col in range(n):
         pivot = None
@@ -208,37 +207,14 @@ def _gf2_solve(rows: np.ndarray, parity: np.ndarray) -> np.ndarray:
     c = np.zeros(n, dtype=np.uint8)
     for i, col in enumerate(piv_cols):
         c[col] = a[i, -1]
-    return c
-
-
-def _gf2_nullspace(rows: np.ndarray, n: int) -> np.ndarray:
-    """Basis (as rows) of the nullspace of `rows` over GF(2)^n."""
-    a = rows.copy()
-    m = a.shape[0]
-    piv_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for i in range(row, m):
-            if a[i, col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[pivot, row]] = a[[row, pivot]]
-        for i in range(m):
-            if i != row and a[i, col]:
-                a[i] ^= a[row]
-        piv_cols.append(col)
-        row += 1
-    free_cols = [c for c in range(n) if c not in piv_cols]
+    free_cols = [col for col in range(n) if col not in piv_cols]
     basis = np.zeros((len(free_cols), n), dtype=np.uint8)
     for bi, fc in enumerate(free_cols):
         basis[bi, fc] = 1
         for ri, pc in enumerate(piv_cols):
             if a[ri, fc]:
                 basis[bi, pc] = 1
-    return basis
+    return c, basis
 
 
 def _require_clifford(circuit: Circuit) -> None:
@@ -281,9 +257,10 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
                       noise: NoiseModel | None = None) -> SampleSet:
     """Sample measurement outcomes of a Clifford circuit.
 
-    With a noise model, each shot evolves its own tableau with stochastic
-    Pauli injections after noisy gates plus readout flips, mirroring the
-    statevector sampler's channel exactly.
+    With a noise model, the errors of all shots are drawn first with the
+    channel and layout of `qbench.noise` (as the statevector sampler draws one
+    chunk); then each shot, in order, evolves its own tableau with its errors
+    and samples it; the readout flips are drawn and applied last.
     """
     _require_clifford(circuit)
     if shots <= 0:
@@ -299,32 +276,29 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
         bits = tab.sample_bits(shots, rng)
         return SampleSet.from_indices(_bits_to_measured_indices(bits, circuit), n_bits)
 
-    offsets = noise.drift.offsets_for(shots) if noise.drift is not None else np.zeros(shots)
-    indices = np.empty(shots, dtype=np.int64)
-    pauli_1q = ("X", "Y", "Z")
-    pauli_2q = tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]
+    offsets = noise.shot_offsets(shots)
+    gates = [g for g in circuit.all_gates() if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
+    # Sparse per-shot error lists of (gate position, qubits, Pauli label), in gate order.
+    errors: list[list[tuple[int, tuple[int, ...], str]]] = [[] for _ in range(shots)]
+    for pos, gate in enumerate(gates):
+        for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
+            labels = PAULI_LABELS[len(qubits)]
+            for shot, choice in zip(rows.tolist(), choices.tolist()):
+                errors[shot].append((pos, qubits, labels[choice]))
+
+    bits = np.empty((shots, n), dtype=np.uint8)
     for shot in range(shots):
         tab = StabilizerTableau(n)
-        for gate in circuit.all_gates():
-            if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
-                continue
+        done = 0
+        for pos, qubits, word in errors[shot]:
+            for gate in gates[done:pos + 1]:
+                tab.apply_gate(gate)
+            done = pos + 1
+            for t, letter in zip(qubits, word):
+                tab._pauli(t, letter)
+        for gate in gates[done:]:
             tab.apply_gate(gate)
-            rate = min(1.0, max(0.0, noise.error_for(gate.kind, gate.targets) + offsets[shot]))
-            if rate > 0 and rng.random() < rate:
-                if len(gate.targets) == 1:
-                    word = pauli_1q[rng.integers(0, 3)]
-                else:
-                    word = pauli_2q[rng.integers(0, 15)]
-                for t, letter in zip(gate.targets, word):
-                    if letter != "I":
-                        tab._pauli(t, letter)
-        bits = tab.sample_bits(1, rng)[0]
-        for q in measured:
-            ro = min(1.0, max(0.0, noise.readout_for(q) + offsets[shot]))
-            if ro > 0 and rng.random() < ro:
-                bits[q] ^= 1
-        idx = 0
-        for pos, q in enumerate(measured):
-            idx |= int(bits[q]) << (n_bits - 1 - pos)
-        indices[shot] = idx
-    return SampleSet.from_indices(indices, n_bits)
+        bits[shot] = tab.sample_bits(1, rng)[0]
+    for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
+        bits[:, q] ^= flips
+    return SampleSet.from_indices(_bits_to_measured_indices(bits, circuit), n_bits)

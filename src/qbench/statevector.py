@@ -15,15 +15,12 @@ import numpy as np
 from .circuits import Circuit, Gate, GateKind, gate_unitary, pauli_matrix
 from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
-from .noise import NoiseModel
+from .noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
 
 DEFAULT_WIDTH_CAP = 24
 
 # Trajectory batches are chunked to keep peak memory near this many amplitudes.
 _CHUNK_AMPS = 1 << 22
-
-_NON_IDENTITY_1Q = ("X", "Y", "Z")
-_NON_IDENTITY_2Q = tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:]
 
 
 @dataclass(frozen=True)
@@ -149,38 +146,22 @@ def _readout_flips(indices: np.ndarray, circuit: Circuit, noise: NoiseModel,
     n = circuit.n_qubits
     measured = circuit.measured_qubits() or tuple(range(n))
     out = indices.copy()
-    for q in measured:
-        base = noise.readout_for(q)
-        rate = np.clip(base + offsets, 0.0, 1.0) if offsets is not None else base
-        if np.any(rate > 0):
-            flips = rng.random(indices.shape[0]) < rate
-            out ^= flips.astype(np.int64) << (n - 1 - q)
+    for q, flips in draw_readout_flips(noise, measured, offsets, indices.shape[0], rng):
+        out ^= flips.astype(np.int64) << (n - 1 - q)
     return out
 
 
-def _inject_paulis(amps: np.ndarray, gate: Gate, rates: np.ndarray | float,
-                   n_qubits: int, rng: np.random.Generator) -> np.ndarray:
-    """With per-trajectory probability `rates`, hit the gate's qubits with a random Pauli."""
-    batch = amps.shape[0]
-    hit = rng.random(batch) < rates
-    # The Pauli choice is drawn for every trajectory to keep the stream layout
-    # independent of which trajectories were hit.
-    if len(gate.targets) == 1:
-        choice = rng.integers(0, 3, size=batch)
-        labels = _NON_IDENTITY_1Q
-    else:
-        choice = rng.integers(0, 15, size=batch)
-        labels = _NON_IDENTITY_2Q
-    if not np.any(hit):
-        return amps
-    for idx in np.unique(choice[hit]):
-        rows = np.nonzero(hit & (choice == idx))[0]
-        word = labels[idx]
-        sub = amps[rows]
-        for t, letter in zip(gate.targets, word):
+def _apply_paulis(amps: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
+                  choices: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Apply the drawn Pauli `PAULI_LABELS[len(qubits)][choice]` to each hit trajectory row."""
+    labels = PAULI_LABELS[len(qubits)]
+    for idx in np.unique(choices):
+        sel = rows[choices == idx]
+        sub = amps[sel]
+        for t, letter in zip(qubits, labels[idx]):
             if letter != "I":
                 sub = apply_unitary_batch(sub, pauli_matrix(letter), (t,), n_qubits)
-        amps[rows] = sub
+        amps[sel] = sub
     return amps
 
 
@@ -188,10 +169,8 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
                   rng: np.random.Generator, cap: int = DEFAULT_WIDTH_CAP) -> SampleSet:
     """Sample `shots` measurement outcomes, with optional trajectory noise.
 
-    Noise model semantics: after every gate a uniformly random non-identity
-    Pauli on the gate's qubits is injected with the gate's depolarizing
-    probability; readout bits flip independently; a drift schedule shifts all
-    of a shot's rates by offset(shot index).
+    Noise follows the trajectory channel and draw layout of `qbench.noise`,
+    drawn per chunk of trajectories.
     """
     _check_cap(circuit.n_qubits, cap)
     if shots <= 0:
@@ -206,7 +185,7 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
         idx = np.nonzero(counts)[0]
         return SampleSet(n_bits, {format(int(i), f"0{n_bits}b"): int(counts[i]) for i in idx})
 
-    offsets_all = noise.drift.offsets_for(shots) if noise.drift is not None else None
+    offsets_all = noise.shot_offsets(shots)
 
     gate_noise_free = noise.default_1q == 0 and noise.default_2q == 0 \
         and not any(noise.gate_error.values()) and not any(noise.edge_error.values()) \
@@ -231,10 +210,8 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
             if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
                 continue
             amps = _apply_gate_batch(amps, gate, n)
-            base = noise.error_for(gate.kind, gate.targets)
-            rates = np.clip(base + offsets, 0.0, 1.0) if offsets is not None else base
-            if np.any(np.asarray(rates) > 0):
-                amps = _inject_paulis(amps, gate, rates, n, rng)
+            for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, size, rng):
+                amps = _apply_paulis(amps, qubits, rows, choices, n)
         samples = _sample_rows(np.abs(amps) ** 2, rng)
         samples = _readout_flips(samples, circuit, noise, offsets, rng)
         samples = _extract_measured_indices(samples, circuit)

@@ -204,6 +204,10 @@ class TestShadows:
             shadow_estimate(measure_all(Circuit(1, ())), [PauliString(1, "Z")], 10,
                             SeedStream(1))
 
+    def test_empty_observable_list_rejected(self):
+        with pytest.raises(ValidationError):
+            shadow_estimate(Circuit.from_gates(1, [H(0)]), [], 10, SeedStream(1))
+
 
 class TestCollisionTest:
     def test_shot_rule(self):

@@ -84,6 +84,14 @@ class TestSuite:
         outcome = self_verify_report(rep)
         assert outcome.ok  # the mirror record is still recomputable
 
+    def test_empty_observable_list_recorded_as_protocol_error(self):
+        config = make_config()
+        config.protocols = [{"name": "shadows", "width": 3, "observables": [], "snapshots": 10}]
+        rep = run_benchmark_suite(config)
+        [record] = rep.doc["base"]
+        assert record["error"].startswith("ValidationError")
+        assert "base:shadows" not in rep.doc["aggregates"]
+
     def test_verification_failure_gates_protocols(self):
         config = make_config(noise={"p1": 1.0, "p2": 1.0, "readout": 0.5})
         rep = run_benchmark_suite(config)
@@ -220,6 +228,14 @@ class TestCli:
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(canonical_json(doc))
         assert main(["check", "--report", str(bad_path)]) == 3
+
+    @pytest.mark.parametrize("entry", [{"shots": 10}, {"name": 3}, "rb"])
+    def test_malformed_protocol_entry_is_a_usage_error(self, tmp_path, entry):
+        doc = make_config().to_json()
+        doc["protocols"] = [entry]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
 
     def test_parse_and_stats_commands(self, tmp_path):
         qasm = tmp_path / "c.qasm"

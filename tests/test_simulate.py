@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qbench.circuits import (
-    CX, Circuit, GateKind, H, Measure, Rz, T, X, gate_unitary, inverse_circuit,
-    measure_all,
+    CX, CZ, SWAP, Circuit, GateKind, H, Measure, PauliLayer, Rz, S, T, X, gate_unitary,
+    inverse_circuit, measure_all,
 )
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
@@ -201,6 +201,69 @@ class TestStabilizer:
         a = stabilizer_sample(c, 200, SeedStream(34).generator(), noise=noise)
         b = stabilizer_sample(c, 200, SeedStream(34).generator(), noise=noise)
         assert a == b
+
+
+def _basis_state_clifford(n: int, depth: int, stream: SeedStream) -> Circuit:
+    """Random circuit over X, S, CX, CZ, SWAP and Pauli layers: every outcome is deterministic."""
+    rng = stream.generator()
+    gates = []
+    for _ in range(depth):
+        kind = int(rng.integers(0, 6))
+        if kind == 0:
+            gates.append(X(int(rng.integers(0, n))))
+        elif kind == 1:
+            gates.append(S(int(rng.integers(0, n))))
+        elif kind == 2:
+            letters = "".join(rng.choice(list("IXYZ"), size=n))
+            gates.append(PauliLayer(range(n), letters))
+        else:
+            a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
+            gates.append((CX, CZ, SWAP)[kind - 3](a, b))
+    return measure_all(Circuit.from_gates(n, gates))
+
+
+class TestSharedNoiseChannel:
+    @pytest.mark.parametrize("sampler", ["statevector", "tableau"])
+    def test_identity_pauli_layer_flips_every_qubit_at_two_thirds(self, sampler):
+        # Each target of a Pauli layer is its own 1q site: at p1=1 it takes X, Y
+        # or Z uniformly, and X and Y flip the bit.
+        n, shots = 4, 6000
+        c = measure_all(Circuit(n, ((PauliLayer(range(n), "I" * n),),)))
+        noise, rng = NoiseModel.uniform(p1=1.0), SeedStream(60).generator()
+        if sampler == "statevector":
+            samples = sample_counts(c, shots, noise, rng)
+        else:
+            samples = stabilizer_sample(c, shots, rng, noise=noise)
+        sigma = math.sqrt((2 / 9) / shots)
+        for q in range(n):
+            flipped = sum(v for k, v in samples.counts.items() if k[q] == "1") / shots
+            assert abs(flipped - 2 / 3) < 3 * sigma, (q, flipped)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_backends_draw_identical_errors_from_one_seed(self, k):
+        # Outcomes of these circuits are fixed by their error realization, so
+        # a shared draw layout makes the two backends agree shot by shot.
+        n, shots = 5, 2000
+        assert shots << n <= 1 << 22  # one statevector chunk
+        c = _basis_state_clifford(n, 30, SeedStream(61, (k,)))
+        noise = NoiseModel.uniform(p1=0.05, p2=0.1)
+        sv = sample_counts(c, shots, noise, SeedStream(62, (k,)).generator())
+        st = stabilizer_sample(c, shots, SeedStream(62, (k,)).generator(), noise=noise)
+        assert len(sv.counts) > 1
+        assert sv == st
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_noisy_backends_agree_in_distribution(self, k):
+        n, shots = 4, 4000
+        c = measure_all(random_clifford_circuit(n, 6, SeedStream(63, (k,))))
+        drift = DriftSchedule((0.0, 0.02), 0.01, SeedStream(64, (k,)))
+        noise = NoiseModel.uniform(p1=0.03, p2=0.08, readout=0.02, drift=drift)
+        sv = sample_counts(c, shots, noise, SeedStream(65, (k,)).generator())
+        st = stabilizer_sample(c, shots, SeedStream(66, (k,)).generator(), noise=noise)
+        tvd = 0.5 * float(np.abs(sv.empirical().probs - st.empirical().probs).sum())
+        # Two independent 4000-shot samples of these 16-outcome distributions
+        # sit about 0.03 apart in TVD from sampling alone.
+        assert tvd < 0.06
 
 
 class TestDistributions:
