@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
@@ -24,8 +24,8 @@ from .device import DeviceModel
 from .distributions import ProbDist, SampleSet
 from .errors import DegenerateInputError, ValidationError
 from .metrics import (
-    CollisionStats, collision_volume, hellinger_distance, hog_probability, l1_distance,
-    xeb_alpha,
+    CollisionStats, collision_delta, collision_volume, hellinger_distance, hog_probability,
+    l1_distance, xeb_alpha,
 )
 from .noise import NoiseModel, draw_readout_flips, draw_site
 from .randgen import (
@@ -59,43 +59,63 @@ def counts_digest(samples: SampleSet) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _from_json(cls, item: dict):
+    """An item dataclass built from the raw (init) fields of its JSON form."""
+    return cls(**{f.name: item[f.name] for f in fields(cls) if f.init})
+
+
 # -- quantum volume -------------------------------------------------------------
 
 
 @dataclass
 class QvWidthRecord:
     width: int
-    circuits: int
     hogs: list[float]
-    mean_hog: float
-    lower_bound: float
-    passed: bool
     sample_hashes: list[str] = field(default_factory=list)
+    circuits: int = field(init=False)
+    mean_hog: float = field(init=False)
+    lower_bound: float = field(init=False)
+    passed: bool = field(init=False)
 
-    def to_json(self) -> dict:
-        return {"width": self.width, "circuits": self.circuits, "hogs": self.hogs,
-                "mean_hog": self.mean_hog, "lower_bound": self.lower_bound,
-                "passed": self.passed, "sample_hashes": self.sample_hashes}
+    def __post_init__(self):
+        self.circuits = len(self.hogs)
+        self.mean_hog = float(np.mean(self.hogs))
+        self.lower_bound = qv_lower_bound(self.hogs)
+        self.passed = self.lower_bound > QV_PASS_THRESHOLD
 
 
 @dataclass
 class QvResult:
     records: list[QvWidthRecord]
-    largest_passing_width: int
-    quantum_volume: int
-    conformant: bool
     shots: int
     seeds: dict
+    largest_passing_width: int = field(init=False)
+    quantum_volume: int = field(init=False)
+    conformant: bool = field(init=False)
+
+    def __post_init__(self):
+        self.largest_passing_width = 0
+        for rec in self.records:
+            if not rec.passed:
+                break
+            self.largest_passing_width = rec.width
+        self.quantum_volume = 1 << self.largest_passing_width
+        self.conformant = all(rec.circuits >= QV_MIN_CIRCUITS for rec in self.records)
 
     def to_record(self) -> dict:
         return {
             "protocol": "quantum_volume",
             "config": {"shots": self.shots, "conformant": self.conformant},
             "seeds": self.seeds,
-            "items": [r.to_json() for r in self.records],
+            "items": [asdict(r) for r in self.records],
             "aggregate": {"largest_passing_width": self.largest_passing_width,
                           "quantum_volume": self.quantum_volume},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "QvResult":
+        return cls([_from_json(QvWidthRecord, it) for it in record["items"]],
+                   record["config"]["shots"], record["seeds"])
 
 
 def qv_lower_bound(hogs: list[float]) -> float:
@@ -138,18 +158,8 @@ def run_quantum_volume(device: DeviceModel, noise: NoiseModel | None, max_width:
             hogs.append(hog_probability(samples, p_ideal))
             if k == 0:
                 hashes.append(counts_digest(samples))
-        bound = qv_lower_bound(hogs)
-        records.append(QvWidthRecord(width, circuits_per_width, hogs,
-                                     float(np.mean(hogs)), bound,
-                                     bound > QV_PASS_THRESHOLD, hashes))
-    largest = 0
-    for rec in records:
-        if rec.passed:
-            largest = rec.width
-        else:
-            break
-    return QvResult(records, largest, 1 << largest,
-                    circuits_per_width >= QV_MIN_CIRCUITS, shots, stream.as_record())
+        records.append(QvWidthRecord(width, hogs, hashes))
+    return QvResult(records, shots, stream.as_record())
 
 
 # -- volumetric grids -----------------------------------------------------------
@@ -161,11 +171,10 @@ class VolumetricRow:
     depth: int
     metric: str
     value: float
-    passed: bool | None
+    passed: bool | None = field(init=False)
 
-    def to_json(self) -> dict:
-        return {"width": self.width, "depth": self.depth, "metric": self.metric,
-                "value": self.value, "passed": self.passed}
+    def __post_init__(self):
+        self.passed = self.value > QV_PASS_THRESHOLD if self.metric == "hog" else None
 
 
 @dataclass
@@ -180,9 +189,15 @@ class VolumetricTable:
             "protocol": "volumetric",
             "config": {"shape": self.shape, "shots": self.shots},
             "seeds": self.seeds,
-            "items": [r.to_json() for r in self.rows],
+            "items": [asdict(r) for r in self.rows],
             "aggregate": {"rows": len(self.rows)},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "VolumetricTable":
+        config = record["config"]
+        return cls(config["shape"], [_from_json(VolumetricRow, it) for it in record["items"]],
+                   config["shots"], record["seeds"])
 
 
 def run_volumetric(device: DeviceModel, noise: NoiseModel | None,
@@ -199,17 +214,15 @@ def run_volumetric(device: DeviceModel, noise: NoiseModel | None,
         executed = _transpile(measure_all(circuit), device, transpile)
         samples = sample_counts(executed, shots, noise,
                                 stream.child(1, width, depth).generator(), cap=cap)
-        passed: bool | None = None
         if metric == "hog":
             value = hog_probability(samples, p_ideal)
-            passed = value > QV_PASS_THRESHOLD
         elif metric == "hellinger":
             value = hellinger_distance(samples.empirical(), p_ideal)
         elif metric == "l1":
             value = l1_distance(samples.empirical(), p_ideal)
         else:
             value = xeb_alpha(samples, p_ideal).alpha_tilde
-        rows.append(VolumetricRow(width, depth, metric, float(value), passed))
+        rows.append(VolumetricRow(width, depth, metric, float(value)))
     shape_value = VolumetricShape(shape).value
     return VolumetricTable(shape_value, rows, shots, stream.as_record())
 
@@ -220,15 +233,22 @@ def run_volumetric(device: DeviceModel, noise: NoiseModel | None,
 class RbResult:
     n_qubits: int
     lengths: list[int]
-    survival_means: list[float]
     survivals: list[list[float]]
-    amplitude: float
-    decay: float
-    offset: float
-    error_per_clifford: float
-    fit_residual: float
     shots: int
     seeds: dict
+    survival_means: list[float] = field(init=False)
+    amplitude: float = field(init=False)
+    decay: float = field(init=False)
+    offset: float = field(init=False)
+    error_per_clifford: float = field(init=False)
+    fit_residual: float = field(init=False)
+
+    def __post_init__(self):
+        self.survival_means = [float(np.mean(s)) for s in self.survivals]
+        self.amplitude, self.decay, self.offset, self.fit_residual = fit_rb_decay(
+            self.lengths, self.survival_means, self.n_qubits)
+        dim = 1 << self.n_qubits
+        self.error_per_clifford = (dim - 1) * (1.0 - self.decay) / dim
 
     def to_record(self) -> dict:
         return {
@@ -242,6 +262,12 @@ class RbResult:
                           "error_per_clifford": self.error_per_clifford,
                           "fit_residual": self.fit_residual},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "RbResult":
+        items, config = record["items"], record["config"]
+        return cls(config["n_qubits"], [it["length"] for it in items],
+                   [it["survivals"] for it in items], config["shots"], record["seeds"])
 
 
 def fit_rb_decay(lengths: list[int], survival_means: list[float],
@@ -308,12 +334,7 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
                 outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
             per_seq.append(float(np.mean(outcomes == 0)))
         survivals.append(per_seq)
-
-    means = [float(np.mean(s)) for s in survivals]
-    amplitude, decay, offset, residual = fit_rb_decay(list(lengths), means, n_qubits)
-    error = (dim - 1) * (1.0 - decay) / dim
-    return RbResult(n_qubits, list(lengths), means, survivals, amplitude, decay, offset,
-                    error, residual, shots, stream.as_record())
+    return RbResult(n_qubits, list(lengths), survivals, shots, stream.as_record())
 
 
 # -- mirror benchmarking -----------------------------------------------------------
@@ -324,31 +345,40 @@ class MirrorRecord:
     width: int
     depth: int
     success: float
-    polarization: float
     expected: str
+    polarization: float = field(init=False)
 
-    def to_json(self) -> dict:
-        return {"width": self.width, "depth": self.depth, "success": self.success,
-                "polarization": self.polarization, "expected": self.expected}
+    def __post_init__(self):
+        floor = 1.0 / (1 << self.width)
+        self.polarization = (self.success - floor) / (1.0 - floor)
 
 
 @dataclass
 class MirrorResult:
     records: list[MirrorRecord]
-    mean_success: float
-    mean_polarization: float
     shots: int
     seeds: dict
+    mean_success: float = field(init=False)
+    mean_polarization: float = field(init=False)
+
+    def __post_init__(self):
+        self.mean_success = float(np.mean([r.success for r in self.records]))
+        self.mean_polarization = float(np.mean([r.polarization for r in self.records]))
 
     def to_record(self) -> dict:
         return {
             "protocol": "mirror",
             "config": {"shots": self.shots},
             "seeds": self.seeds,
-            "items": [r.to_json() for r in self.records],
+            "items": [asdict(r) for r in self.records],
             "aggregate": {"mean_success": self.mean_success,
                           "mean_polarization": self.mean_polarization},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "MirrorResult":
+        return cls([_from_json(MirrorRecord, it) for it in record["items"]],
+                   record["config"]["shots"], record["seeds"])
 
 
 def run_mirror_benchmark(device: DeviceModel, noise: NoiseModel | None,
@@ -372,13 +402,8 @@ def run_mirror_benchmark(device: DeviceModel, noise: NoiseModel | None,
                 samples = stabilizer_sample(spec.circuit, shots, item.child(2).generator(),
                                             noise=noise)
                 success = samples.counts.get(spec.expected, 0) / shots
-                floor = 1.0 / (1 << width)
-                records.append(MirrorRecord(width, depth, success,
-                                            (success - floor) / (1.0 - floor),
-                                            spec.expected))
-    return MirrorResult(records, float(np.mean([r.success for r in records])),
-                        float(np.mean([r.polarization for r in records])),
-                        shots, stream.as_record())
+                records.append(MirrorRecord(width, depth, success, spec.expected))
+    return MirrorResult(records, shots, stream.as_record())
 
 
 # -- CLOPS -------------------------------------------------------------------------
@@ -389,11 +414,14 @@ class ClopsResult:
     width: int
     layers_executed: int
     elapsed_seconds: float
-    layers_per_second: float
     shots: int
     batch: int
     host_relative: bool
     seeds: dict
+    layers_per_second: float = field(init=False)
+
+    def __post_init__(self):
+        self.layers_per_second = self.layers_executed / self.elapsed_seconds
 
     def to_record(self) -> dict:
         return {
@@ -406,6 +434,12 @@ class ClopsResult:
                           "elapsed_seconds": self.elapsed_seconds,
                           "layers_per_second": self.layers_per_second},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "ClopsResult":
+        config, agg = record["config"], record["aggregate"]
+        return cls(config["width"], agg["layers_executed"], agg["elapsed_seconds"],
+                   config["shots"], config["batch"], config["host_relative"], record["seeds"])
 
 
 def run_clops(device: DeviceModel, noise: NoiseModel | None, width: int,
@@ -431,8 +465,7 @@ def run_clops(device: DeviceModel, noise: NoiseModel | None, width: int,
             executed += circuit.depth
             k += 1
     elapsed = time.perf_counter() - start
-    return ClopsResult(width, executed, elapsed, executed / elapsed, shots, batch,
-                       True, stream.as_record())
+    return ClopsResult(width, executed, elapsed, shots, batch, True, stream.as_record())
 
 
 # -- classical shadows ---------------------------------------------------------------
@@ -442,12 +475,36 @@ def run_clops(device: DeviceModel, noise: NoiseModel | None, width: int,
 class ShadowEstimate:
     observable: str
     estimate: float
-    variance_bound: float
     snapshots: int
+    variance_bound: float = field(init=False)
 
-    def to_json(self) -> dict:
-        return {"observable": self.observable, "estimate": self.estimate,
-                "variance_bound": self.variance_bound, "snapshots": self.snapshots}
+    def __post_init__(self):
+        letters = self.observable.lstrip("+-")
+        self.variance_bound = (3.0 ** (len(letters) - letters.count("I"))) / self.snapshots
+
+
+@dataclass
+class ShadowsResult:
+    prep: str
+    width: int
+    snapshots: int
+    estimates: list[ShadowEstimate]
+    seeds: dict
+
+    def to_record(self) -> dict:
+        return {
+            "protocol": "shadows",
+            "config": {"prep": self.prep, "width": self.width, "snapshots": self.snapshots},
+            "seeds": self.seeds,
+            "items": [asdict(e) for e in self.estimates],
+            "aggregate": {"estimates": {e.observable: e.estimate for e in self.estimates}},
+        }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "ShadowsResult":
+        config = record["config"]
+        return cls(config["prep"], config["width"], config["snapshots"],
+                   [_from_json(ShadowEstimate, it) for it in record["items"]], record["seeds"])
 
 
 def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: int,
@@ -492,11 +549,8 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
                     break
                 value *= 3.0 * sign * (1.0 - 2.0 * bits[q])
             sums[oi] += value * obs.sign
-    return [
-        ShadowEstimate(str(obs), float(sums[oi] / snapshots),
-                       (3.0 ** obs.weight) / snapshots, snapshots)
-        for oi, obs in enumerate(observables)
-    ]
+    return [ShadowEstimate(str(obs), float(sums[oi] / snapshots), snapshots)
+            for oi, obs in enumerate(observables)]
 
 
 # -- collision test ------------------------------------------------------------------
@@ -507,8 +561,11 @@ class CollisionTestResult:
     n_qubits: int
     shots: int
     stats: CollisionStats
-    passed: bool
     seeds: dict
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = self.stats.delta_hat >= 0.5
 
     def to_record(self) -> dict:
         return {
@@ -518,6 +575,14 @@ class CollisionTestResult:
             "items": [self.stats.to_json()],
             "aggregate": {"delta_hat": self.stats.delta_hat, "passed": self.passed},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "CollisionTestResult":
+        st, config = record["items"][0], record["config"]
+        collisions = st["shots"] - st["distinct"]
+        stats = CollisionStats(st["shots"], st["n_outcomes"], st["distinct"], collisions,
+                               collision_delta(collisions, st["shots"], st["n_outcomes"]))
+        return cls(config["n_qubits"], config["shots"], stats, record["seeds"])
 
 
 def collision_shots(n_qubits: int) -> int:
@@ -534,9 +599,7 @@ def run_collision_test(device: DeviceModel, noise: NoiseModel | None, n_qubits: 
     circuit = layered_model_circuit(n_qubits, n_qubits, stream.child(0))
     executed = _transpile(measure_all(circuit), device, transpile)
     samples = sample_counts(executed, shots, noise, stream.child(1).generator(), cap=cap)
-    stats = collision_volume(samples)
-    return CollisionTestResult(n_qubits, shots, stats, stats.delta_hat >= 0.5,
-                               stream.as_record())
+    return CollisionTestResult(n_qubits, shots, collision_volume(samples), stream.as_record())
 
 
 # -- XEB device verification ----------------------------------------------------------
@@ -546,12 +609,18 @@ def run_collision_test(device: DeviceModel, noise: NoiseModel | None, n_qubits: 
 class XebVerifyResult:
     n_qubits: int
     alphas: list[float]
-    alpha_mean: float
-    stderr: float
     threshold: float
-    verified: bool
     shots: int
     seeds: dict
+    alpha_mean: float = field(init=False)
+    stderr: float = field(init=False)
+    verified: bool = field(init=False)
+
+    def __post_init__(self):
+        self.alpha_mean = float(np.mean(self.alphas))
+        self.stderr = float(np.std(self.alphas, ddof=1) / math.sqrt(len(self.alphas))) \
+            if len(self.alphas) > 1 else 1.0 / math.sqrt(self.shots)
+        self.verified = self.alpha_mean >= self.threshold
 
     def to_record(self) -> dict:
         return {
@@ -563,6 +632,12 @@ class XebVerifyResult:
             "aggregate": {"alpha_mean": self.alpha_mean, "stderr": self.stderr,
                           "verified": self.verified},
         }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "XebVerifyResult":
+        config = record["config"]
+        return cls(config["n_qubits"], [it["alpha_tilde"] for it in record["items"]],
+                   config["threshold"], config["shots"], record["seeds"])
 
 
 def xeb_verify_device(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
@@ -580,9 +655,5 @@ def xeb_verify_device(device: DeviceModel, noise: NoiseModel | None, n_qubits: i
         p_ideal = ideal_distribution(circuit, cap=cap)
         executed = _transpile(measure_all(circuit), device, transpile)
         samples = sample_counts(executed, shots, noise, item.child(1).generator(), cap=cap)
-        alphas.append(xeb_alpha(samples, p_ideal).alpha_tilde)
-    mean = float(np.mean(alphas))
-    stderr = float(np.std(alphas, ddof=1) / math.sqrt(len(alphas))) if len(alphas) > 1 \
-        else 1.0 / math.sqrt(shots)
-    return XebVerifyResult(n_qubits, [float(a) for a in alphas], mean, stderr,
-                           threshold, mean >= threshold, shots, stream.as_record())
+        alphas.append(float(xeb_alpha(samples, p_ideal).alpha_tilde))
+    return XebVerifyResult(n_qubits, alphas, threshold, shots, stream.as_record())

@@ -1,13 +1,15 @@
 """Suite orchestration and reporting: the verify / define / execute / check /
 report pipeline, canonical JSON reports with embedded raw records and seed
-ledgers, and arithmetic self-verification of every aggregate."""
+ledgers, and self-verification that rebuilds every record from its raw fields
+with the code that built it."""
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 import time
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +18,13 @@ from . import __version__
 from .circuits import CX, Circuit, H, PauliString, measure_all
 from .device import DeviceModel
 from .errors import ValidationError
-from .metrics import METRIC_TABLE, collision_delta, metric_record, static_device_metrics
+from .metrics import METRIC_TABLE, metric_record, static_device_metrics
 from .noise import NoiseModel
 from .protocols import (
-    QV_PASS_THRESHOLD, counts_digest, fit_rb_decay, qv_lower_bound, run_clops,
-    run_collision_test, run_mirror_benchmark, run_quantum_volume, run_rb,
-    run_volumetric, shadow_estimate, xeb_verify_device,
+    ClopsResult, CollisionTestResult, MirrorResult, QvResult, RbResult, ShadowsResult,
+    VolumetricTable, XebVerifyResult, counts_digest, run_clops, run_collision_test,
+    run_mirror_benchmark, run_quantum_volume, run_rb, run_volumetric, shadow_estimate,
+    xeb_verify_device,
 )
 from .randgen import qv_model_circuit
 from .rng import SeedStream
@@ -78,6 +81,12 @@ class RunConfig:
     def from_json(cls, doc: Mapping, base_dir: Path | None = None) -> "RunConfig":
         if doc.get("schema") != RUNCFG_SCHEMA:
             raise ValidationError(f"unexpected run-config schema {doc.get('schema')!r}")
+        for key, kinds, default in (("device", (str, Mapping), None), ("protocols", list, []),
+                                    ("verification", Mapping, {}), ("noise", Mapping, {}),
+                                    ("peak", (Mapping, type(None)), None),
+                                    ("master_seed", int, 0), ("repetitions", int, 1)):
+            if not isinstance(doc.get(key, default), kinds):
+                raise ValidationError(f"run-config {key!r} has the wrong type: {doc.get(key)!r}")
         dev = doc["device"]
         if isinstance(dev, str):
             path = Path(dev)
@@ -145,110 +154,103 @@ def build_noise(config: RunConfig) -> NoiseModel | None:
 
 # -- protocol dispatch ---------------------------------------------------------------
 
-_GHZ_CACHE: dict[int, Circuit] = {}
-
-
+@functools.cache
 def _ghz(width: int) -> Circuit:
-    if width not in _GHZ_CACHE:
-        gates = [H(0)] + [CX(q, q + 1) for q in range(width - 1)]
-        _GHZ_CACHE[width] = Circuit.from_gates(width, gates)
-    return _GHZ_CACHE[width]
+    return Circuit.from_gates(width, [H(0)] + [CX(q, q + 1) for q in range(width - 1)])
+
+
+def _run_shadows(e: dict, device, noise, stream: SeedStream, transpile) -> ShadowsResult:
+    width = int(e.get("width", 3))
+    observables = [PauliString(width, s) for s in e.get("observables", ["Z" * width])]
+    snapshots = int(e.get("snapshots", 2000))
+    estimates = shadow_estimate(_ghz(width), observables, snapshots, stream)
+    return ShadowsResult("ghz", width, snapshots, estimates, stream.as_record())
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """What the suite, the renderer and the verifier know about one protocol.
+
+    `run(entry, device, noise, stream, transpile)` runs a runcfg protocol entry
+    with its defaults. It looks protocols up in this module at call time, so
+    the benchmark's tracer, which replaces those names, sees every suite call.
+    `result.from_record` rebuilds a result from a record's raw fields alone.
+    """
+
+    result: type
+    headline: str
+    #: descriptor name, or names keyed by the entry's "metric"
+    descriptor: str | Mapping[str, str]
+    run: Callable | None = None
+    #: the headline value of a record; None reads aggregate[headline]
+    value: Callable[[dict], float] | None = None
+    #: a record is rebuilt only from items (if needed) with this key, and these aggregates
+    needs_items: bool = True
+    raw_item_key: str | None = None
+    raw_aggregate: tuple[str, ...] = ()
+    #: tolerance on the numbers of the rebuilt aggregate; AGG_TOL elsewhere
+    aggregate_tol: float = AGG_TOL
+
+
+PROTOCOLS: dict[str, ProtocolSpec] = {
+    "quantum_volume": ProtocolSpec(
+        QvResult, "quantum_volume", "quantum_volume", raw_item_key="hogs",
+        run=lambda e, device, noise, stream, transpile: run_quantum_volume(
+            device, noise, int(e.get("max_width", 3)), int(e.get("circuits_per_width", 100)),
+            int(e.get("shots", 1000)), stream, strict=bool(e.get("strict", True)),
+            transpile=transpile)),
+    "volumetric": ProtocolSpec(
+        VolumetricTable, "mean_value",
+        {"hog": "heavy_output_generation", "hellinger": "hellinger_distance",
+         "l1": "l1_distance", "xeb": "xeb"},
+        value=lambda record: float(np.mean([r["value"] for r in record["items"]])),
+        needs_items=False,
+        run=lambda e, device, noise, stream, transpile: run_volumetric(
+            device, noise, e.get("shape", "square"), list(e.get("widths", [2, 3])),
+            e.get("metric", "hog"), int(e.get("shots", 1000)), stream, transpile=transpile)),
+    "rb": ProtocolSpec(
+        RbResult, "error_per_clifford", "error_per_clifford", raw_item_key="survivals",
+        aggregate_tol=1e-7,  # the aggregates come from an iterative least-squares fit
+        run=lambda e, device, noise, stream, transpile: run_rb(
+            device, noise, int(e.get("n_qubits", 1)), list(e.get("lengths", [2, 4, 8, 16, 32])),
+            int(e.get("sequences_per_length", 20)), int(e.get("shots", 200)), stream)),
+    "mirror": ProtocolSpec(
+        MirrorResult, "mean_success", "mean_success",
+        run=lambda e, device, noise, stream, transpile: run_mirror_benchmark(
+            device, noise, list(e.get("widths", [3])), list(e.get("depths", [4])),
+            int(e.get("randomizations", 5)), int(e.get("shots", 200)), stream)),
+    "clops": ProtocolSpec(
+        ClopsResult, "layers_per_second", "clops", needs_items=False,
+        raw_aggregate=("layers_executed", "elapsed_seconds", "layers_per_second"),
+        run=lambda e, device, noise, stream, transpile: run_clops(
+            device, noise, int(e.get("width", 3)), int(e.get("layers_total", 30)),
+            int(e.get("batch", 5)), stream, shots=int(e.get("shots", 100)),
+            transpile=transpile)),
+    "collision": ProtocolSpec(
+        CollisionTestResult, "delta_hat", "collision_volume",
+        run=lambda e, device, noise, stream, transpile: run_collision_test(
+            device, noise, int(e.get("n_qubits", 8)), stream, transpile=transpile)),
+    "shadows": ProtocolSpec(
+        ShadowsResult, "first_estimate", "first_estimate", run=_run_shadows,
+        value=lambda record: float(record["items"][0]["estimate"])),
+    # the suite's device-verification gate; not a runcfg protocol entry
+    "xeb_verify": ProtocolSpec(XebVerifyResult, "alpha_mean", "xeb"),
+}
 
 
 def _run_protocol(entry: dict, device: DeviceModel, noise: NoiseModel | None,
                   stream: SeedStream, transpile: TranspileConfig | None) -> dict:
-    name = entry["name"]
-    if name == "quantum_volume":
-        return run_quantum_volume(
-            device, noise, int(entry.get("max_width", 3)),
-            int(entry.get("circuits_per_width", 100)), int(entry.get("shots", 1000)),
-            stream, strict=bool(entry.get("strict", True)), transpile=transpile,
-        ).to_record()
-    if name == "volumetric":
-        return run_volumetric(
-            device, noise, entry.get("shape", "square"), list(entry.get("widths", [2, 3])),
-            entry.get("metric", "hog"), int(entry.get("shots", 1000)), stream,
-            transpile=transpile,
-        ).to_record()
-    if name == "rb":
-        return run_rb(
-            device, noise, int(entry.get("n_qubits", 1)),
-            list(entry.get("lengths", [2, 4, 8, 16, 32])),
-            int(entry.get("sequences_per_length", 20)), int(entry.get("shots", 200)),
-            stream,
-        ).to_record()
-    if name == "mirror":
-        return run_mirror_benchmark(
-            device, noise, list(entry.get("widths", [3])), list(entry.get("depths", [4])),
-            int(entry.get("randomizations", 5)), int(entry.get("shots", 200)), stream,
-        ).to_record()
-    if name == "clops":
-        return run_clops(
-            device, noise, int(entry.get("width", 3)), int(entry.get("layers_total", 30)),
-            int(entry.get("batch", 5)), stream, shots=int(entry.get("shots", 100)),
-            transpile=transpile,
-        ).to_record()
-    if name == "collision":
-        return run_collision_test(
-            device, noise, int(entry.get("n_qubits", 8)), stream, transpile=transpile,
-        ).to_record()
-    if name == "shadows":
-        width = int(entry.get("width", 3))
-        observables = [PauliString(width, s) for s in entry.get("observables", ["Z" * width])]
-        estimates = shadow_estimate(_ghz(width), observables,
-                                    int(entry.get("snapshots", 2000)), stream)
-        return {
-            "protocol": "shadows",
-            "config": {"prep": "ghz", "width": width,
-                       "snapshots": int(entry.get("snapshots", 2000))},
-            "seeds": stream.as_record(),
-            "items": [e.to_json() for e in estimates],
-            "aggregate": {"estimates": {e.observable: e.estimate for e in estimates}},
-        }
-    raise ValidationError(f"unknown protocol {name!r}")
-
-
-_HEADLINES = {
-    "quantum_volume": ("quantum_volume", "aggregate"),
-    "volumetric": ("mean_value", "computed"),
-    "rb": ("error_per_clifford", "aggregate"),
-    "mirror": ("mean_success", "aggregate"),
-    "clops": ("layers_per_second", "aggregate"),
-    "collision": ("delta_hat", "aggregate"),
-    "shadows": ("first_estimate", "computed"),
-    "xeb_verify": ("alpha_mean", "aggregate"),
-}
-
-#: shipped-descriptor name for a protocol's headline metric, where one exists
-_DESCRIPTOR_FOR = {
-    "quantum_volume": "quantum_volume",
-    "clops": "clops",
-    "collision": "collision_volume",
-    "xeb_verify": "xeb",
-}
-_VOLUMETRIC_DESCRIPTOR = {
-    "hog": "heavy_output_generation",
-    "hellinger": "hellinger_distance",
-    "l1": "l1_distance",
-    "xeb": "xeb",
-}
-
-
-def _descriptor_name(entry: dict) -> str:
-    name = entry["name"]
-    if name == "volumetric":
-        return _VOLUMETRIC_DESCRIPTOR.get(entry.get("metric", "hog"), "heavy_output_generation")
-    return _DESCRIPTOR_FOR.get(name, _HEADLINES[name][0])
+    spec = PROTOCOLS.get(entry["name"])
+    if spec is None or spec.run is None:
+        raise ValidationError(f"unknown protocol {entry['name']!r}")
+    return spec.run(entry, device, noise, stream, transpile).to_record()
 
 
 def headline_value(record: dict) -> tuple[str, float]:
     """(metric name, value) summarizing one protocol record."""
-    name, source = _HEADLINES[record["protocol"]]
-    if source == "aggregate":
-        return name, float(record["aggregate"][name])
-    if record["protocol"] == "volumetric":
-        return name, float(np.mean([r["value"] for r in record["items"]]))
-    return name, float(record["items"][0]["estimate"])
+    spec = PROTOCOLS[record["protocol"]]
+    value = spec.value(record) if spec.value else float(record["aggregate"][spec.headline])
+    return spec.headline, value
 
 
 # -- suite runner -----------------------------------------------------------------
@@ -378,14 +380,17 @@ def run_benchmark_suite(config: RunConfig) -> Report:
             values = [headline_value(r)[1] for r in doc[mode]
                       if r["protocol"] == entry["name"] and "error" not in r]
             if values:
+                spec = PROTOCOLS[entry["name"]]
+                descriptor = spec.descriptor if isinstance(spec.descriptor, str) else \
+                    spec.descriptor.get(entry.get("metric", "hog"), spec.descriptor["hog"])
                 mean = float(np.mean(values))
                 std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
                 doc["aggregates"][f"{mode}:{entry['name']}"] = {
-                    "metric": _HEADLINES[entry["name"]][0],
+                    "metric": spec.headline,
                     "values": values,
                     "mean": mean,
                     "std": std,
-                    "record": metric_record(_descriptor_name(entry), mean,
+                    "record": metric_record(descriptor, mean,
                                             std if len(values) > 1 else None),
                 }
 
@@ -468,129 +473,58 @@ class VerifyOutcome:
     discrepancies: list[str]
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "status": self.status, "discrepancies": self.discrepancies}
+        return asdict(self)
 
 
-def _close(a: float, b: float, tol: float = AGG_TOL) -> bool:
-    return abs(float(a) - float(b)) <= tol
+_MISSING = object()
+
+
+def _differing_paths(stored, rebuilt, path: str, tol: float):
+    """Paths of the fields where `stored` differs from `rebuilt`, numbers by more than `tol`."""
+    if isinstance(stored, Mapping) and isinstance(rebuilt, Mapping):
+        for key in sorted(set(stored) | set(rebuilt)):
+            yield from _differing_paths(stored.get(key, _MISSING), rebuilt.get(key, _MISSING),
+                                        f"{path}.{key}", tol)
+    elif isinstance(stored, list) and isinstance(rebuilt, list) and len(stored) == len(rebuilt):
+        for i, (a, b) in enumerate(zip(stored, rebuilt)):
+            yield from _differing_paths(a, b, f"{path}[{i}]", tol)
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (stored, rebuilt)):
+        if not abs(stored - rebuilt) <= tol:
+            yield path
+    elif type(stored) is not type(rebuilt) or stored != rebuilt:
+        yield path
 
 
 def _verify_record(record: dict, problems: list[str]) -> bool:
-    """Recompute a protocol record's aggregate from its raw items.
+    """Rebuild a protocol record from its raw fields with the code that built it,
+    and report every field that differs.
 
-    Returns False when the record carries no raw items to recompute from.
+    Returns False when the record holds too little raw data to rebuild from.
     """
-    protocol = record.get("protocol")
+    spec = PROTOCOLS.get(record.get("protocol"))
     items = record.get("items")
-    agg = record.get("aggregate", {})
-    where = f"{record.get('mode', '?')}:{protocol}#rep{record.get('repetition', '?')}"
-    if items is None:
+    if spec is None or items is None or (spec.needs_items and not items):
         return False
-    if protocol == "quantum_volume":
-        if not items or any("hogs" not in it for it in items):
-            return False
-        largest = 0
-        prefix = True
-        for it in items:
-            hogs = it["hogs"]
-            if not _close(np.mean(hogs), it["mean_hog"]):
-                problems.append(f"{where}: width {it['width']} mean_hog mismatch")
-            bound = qv_lower_bound(hogs)
-            if not _close(bound, it["lower_bound"]):
-                problems.append(f"{where}: width {it['width']} lower_bound mismatch")
-            passed = bound > QV_PASS_THRESHOLD
-            if passed != it["passed"]:
-                problems.append(f"{where}: width {it['width']} pass flag mismatch")
-            if passed and prefix:
-                largest = it["width"]
-            else:
-                prefix = False
-        if largest != agg.get("largest_passing_width") or (1 << largest) != agg.get("quantum_volume"):
-            problems.append(f"{where}: quantum volume aggregate mismatch")
+    if spec.raw_item_key is not None and any(spec.raw_item_key not in it for it in items):
+        return False
+    if any(key not in record.get("aggregate", {}) for key in spec.raw_aggregate):
+        return False
+    where = f"{record.get('mode', '?')}:{record['protocol']}#rep{record.get('repetition', '?')}"
+    try:
+        rebuilt = spec.result.from_record(record).to_record()
+    except Exception as exc:  # an edited record may not rebuild at all
+        problems.append(f"{where}: record cannot be rebuilt ({type(exc).__name__}: {exc})")
         return True
-    if protocol == "rb":
-        if not items or any("survivals" not in it for it in items):
-            return False
-        lengths = [it["length"] for it in items]
-        means = []
-        for it in items:
-            mean = float(np.mean(it["survivals"]))
-            if not _close(mean, it["mean"]):
-                problems.append(f"{where}: length {it['length']} survival mean mismatch")
-            means.append(mean)
-        a, p, b, resid = fit_rb_decay(lengths, means, int(record["config"]["n_qubits"]))
-        dim = 1 << int(record["config"]["n_qubits"])
-        for name, value in (("amplitude", a), ("decay", p), ("offset", b),
-                            ("fit_residual", resid),
-                            ("error_per_clifford", (dim - 1) * (1 - p) / dim)):
-            if not _close(value, agg.get(name, float("nan")), 1e-7):
-                problems.append(f"{where}: {name} mismatch")
-        return True
-    if protocol == "mirror":
-        if not items:
-            return False
-        if not _close(np.mean([it["success"] for it in items]), agg.get("mean_success", float("nan"))):
-            problems.append(f"{where}: mean_success mismatch")
-        if not _close(np.mean([it["polarization"] for it in items]),
-                      agg.get("mean_polarization", float("nan"))):
-            problems.append(f"{where}: mean_polarization mismatch")
-        return True
-    if protocol == "collision":
-        if not items:
-            return False
-        st = items[0]
-        if st["distinct"] + st["collisions"] != st["shots"]:
-            problems.append(f"{where}: collision counts inconsistent")
-        delta = collision_delta(st["collisions"], st["shots"], st["n_outcomes"])
-        if not _close(delta, st["delta_hat"]) or not _close(delta, agg.get("delta_hat", float("nan"))):
-            problems.append(f"{where}: delta_hat mismatch")
-        if (delta >= 0.5) != agg.get("passed"):
-            problems.append(f"{where}: collision pass flag mismatch")
-        return True
-    if protocol in ("xeb_verify",):
-        if not items:
-            return False
-        alphas = [it["alpha_tilde"] for it in items]
-        if not _close(np.mean(alphas), agg.get("alpha_mean", float("nan"))):
-            problems.append(f"{where}: alpha_mean mismatch")
-        if (float(np.mean(alphas)) >= record["config"]["threshold"]) != agg.get("verified"):
-            problems.append(f"{where}: verified flag mismatch")
-        return True
-    if protocol == "volumetric":
-        if items is None:
-            return False
-        for it in items:
-            if it["metric"] == "hog" and (it["value"] > QV_PASS_THRESHOLD) != it["passed"]:
-                problems.append(f"{where}: volumetric pass flag mismatch at width {it['width']}")
-        if agg.get("rows") != len(items):
-            problems.append(f"{where}: volumetric row count mismatch")
-        return True
-    if protocol == "clops":
-        ls = agg.get("layers_per_second")
-        el = agg.get("elapsed_seconds")
-        lx = agg.get("layers_executed")
-        if ls is None or el is None or lx is None:
-            return False
-        if not _close(ls, lx / el, max(AGG_TOL, abs(ls) * 1e-9)):
-            problems.append(f"{where}: layers_per_second inconsistent with elapsed time")
-        return True
-    if protocol == "shadows":
-        if not items:
-            return False
-        for it in items:
-            k = sum(1 for ch in it["observable"].lstrip("+-") if ch != "I")
-            if not _close(it["variance_bound"], (3.0 ** k) / it["snapshots"]):
-                problems.append(f"{where}: shadow variance bound mismatch")
-        est = agg.get("estimates", {})
-        for it in items:
-            if not _close(est.get(it["observable"], float("nan")), it["estimate"]):
-                problems.append(f"{where}: shadow estimate aggregate mismatch")
-        return True
-    return False
+    # keys the suite adds to a record (mode, repetition, ...) are not the result's
+    for key, value in rebuilt.items():
+        tol = spec.aggregate_tol if key == "aggregate" else AGG_TOL
+        for path in _differing_paths(record.get(key, _MISSING), value, key, tol):
+            problems.append(f"{where}: {path} mismatch")
+    return True
 
 
 def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
-    """Recompute every aggregate from the embedded per-item records.
+    """Rebuild every record from its raw fields and compare every derived field.
 
     `reexecute > 0` additionally regenerates that many quantum-volume circuits
     from their seed ledger and compares freshly sampled counts hash-exactly.
@@ -630,7 +564,7 @@ def _reexecute_check(doc: dict, count: int) -> list[str]:
     noise = build_noise(RunConfig(device=device, protocols=[], noise=doc["header"].get("noise", {})))
     done = 0
     for record in doc.get("base") or []:
-        if record["protocol"] != "quantum_volume" or done >= count:
+        if record["protocol"] != "quantum_volume" or "error" in record or done >= count:
             continue
         stream = SeedStream.from_record(record["seeds"])
         shots = int(record["config"]["shots"])

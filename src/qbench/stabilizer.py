@@ -225,13 +225,11 @@ def _require_clifford(circuit: Circuit) -> None:
         raise NonCliffordError("mid-circuit measurement is not supported by the tableau sampler")
 
 
-def _bits_to_measured_indices(bits: np.ndarray, circuit: Circuit) -> np.ndarray:
-    measured = circuit.measured_qubits() or tuple(range(circuit.n_qubits))
-    k = len(measured)
-    out = np.zeros(bits.shape[0], dtype=np.int64)
-    for pos, q in enumerate(measured):
-        out |= bits[:, q].astype(np.int64) << (k - 1 - pos)
-    return out
+def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:
+    """Counts of the measured bit columns, keyed from the bit rows so that any width fits."""
+    rows, freq = np.unique(bits[:, list(measured)], axis=0, return_counts=True)
+    keys = [(row + ord("0")).tobytes().decode() for row in rows]
+    return SampleSet(len(measured), dict(zip(keys, freq.tolist())))
 
 
 def evolve_tableau(circuit: Circuit) -> StabilizerTableau:
@@ -269,12 +267,9 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
         raise ValidationError(f"width {circuit.n_qubits} exceeds the tableau cap {STABILIZER_WIDTH_CAP}")
     n = circuit.n_qubits
     measured = circuit.measured_qubits() or tuple(range(n))
-    n_bits = len(measured)
 
     if noise is None or noise.is_trivial:
-        tab = evolve_tableau(circuit)
-        bits = tab.sample_bits(shots, rng)
-        return SampleSet.from_indices(_bits_to_measured_indices(bits, circuit), n_bits)
+        return _sample_set(evolve_tableau(circuit).sample_bits(shots, rng), measured)
 
     offsets = noise.shot_offsets(shots)
     gates = [g for g in circuit.all_gates() if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
@@ -301,4 +296,4 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
         bits[shot] = tab.sample_bits(1, rng)[0]
     for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
         bits[:, q] ^= flips
-    return SampleSet.from_indices(_bits_to_measured_indices(bits, circuit), n_bits)
+    return _sample_set(bits, measured)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import qbench.report
 from qbench.cli import main
 from qbench.device import DeviceModel
 from qbench.report import (
@@ -36,9 +37,64 @@ def make_config(tmp_path=None, *, peak=False, noise=None, seed=21, reps=1):
     return RunConfig.from_json(doc)
 
 
+VOLUMETRIC = {"name": "volumetric", "widths": [2, 3], "metric": "hog", "shots": 100}
+
+
 @pytest.fixture(scope="module")
 def report():
     return run_benchmark_suite(make_config())
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    """make_config's suite plus a volumetric grid: every protocol record kind."""
+    config = make_config()
+    config.protocols.append(VOLUMETRIC)
+    return run_benchmark_suite(config)
+
+
+def _record(doc, protocol):
+    if protocol == "xeb_verify":
+        return doc["verification"]
+    return next(r for r in doc["base"] if r["protocol"] == protocol)
+
+
+def _only(doc, protocol):
+    """Copy of `doc` in which only `protocol`'s record keeps its raw items."""
+    doc = copy.deepcopy(doc)
+    for record in [doc["verification"], *doc["base"]]:
+        if record["protocol"] != protocol:
+            record["items"] = None
+    return doc
+
+
+#: (record, path to a derived field, edit); "flip" negates a flag
+TAMPERS = [
+    ("quantum_volume", ("config", "conformant"), "flip"),
+    ("quantum_volume", ("items", 0, "circuits"), 1),
+    ("quantum_volume", ("items", 0, "mean_hog"), 1e-6),
+    ("quantum_volume", ("items", 1, "lower_bound"), 1e-6),
+    ("quantum_volume", ("items", 0, "passed"), "flip"),
+    ("quantum_volume", ("aggregate", "largest_passing_width"), 1),
+    ("quantum_volume", ("aggregate", "quantum_volume"), 1),
+    ("volumetric", ("items", 0, "passed"), "flip"),
+    ("volumetric", ("aggregate", "rows"), 1),
+    ("rb", ("items", 0, "mean"), 1e-8),
+    ("rb", ("aggregate", "decay"), 1e-6),
+    ("rb", ("aggregate", "error_per_clifford"), 1e-6),
+    ("mirror", ("items", 0, "polarization"), 1e-6),
+    ("mirror", ("aggregate", "mean_success"), 1e-6),
+    ("mirror", ("aggregate", "mean_polarization"), 1e-6),
+    ("collision", ("items", 0, "collisions"), 1),
+    ("collision", ("items", 0, "delta_hat"), 1e-6),
+    ("collision", ("aggregate", "passed"), "flip"),
+    ("xeb_verify", ("aggregate", "alpha_mean"), 1e-6),
+    ("xeb_verify", ("aggregate", "stderr"), 1e-6),
+    ("xeb_verify", ("aggregate", "verified"), "flip"),
+    ("clops", ("aggregate", "layers_per_second"), 1e-3),
+    ("shadows", ("items", 0, "variance_bound"), 1e-6),
+    ("shadows", ("aggregate", "estimates", "+ZZI"), 1e-6),
+]
 
 
 class TestSuite:
@@ -167,6 +223,49 @@ class TestSelfVerify:
         assert outcome.status == "unverifiable"
         assert not outcome.ok
 
+    @pytest.mark.parametrize("protocol, path, edit", TAMPERS)
+    def test_edited_derived_field_detected(self, full_report, protocol, path, edit):
+        doc = copy.deepcopy(full_report.doc)
+        target = _record(doc, protocol)
+        for key in path[:-1]:
+            target = target[key]
+        last = path[-1]
+        target[last] = (not target[last]) if edit == "flip" else target[last] + edit
+        outcome = self_verify_report(Report(doc))
+        assert outcome.status == "discrepancies"
+        assert any(f"{last} mismatch" in d for d in outcome.discrepancies)
+
+    @pytest.mark.parametrize("protocol", ["quantum_volume", "rb", "mirror", "collision",
+                                          "xeb_verify", "shadows"])
+    def test_record_without_items_is_unverifiable(self, full_report, protocol):
+        doc = _only(full_report.doc, protocol)
+        _record(doc, protocol)["items"] = []
+        assert self_verify_report(Report(doc)).status == "unverifiable"
+
+    @pytest.mark.parametrize("protocol, key", [("quantum_volume", "hogs"), ("rb", "survivals")])
+    def test_items_without_raw_values_are_unverifiable(self, full_report, protocol, key):
+        doc = _only(full_report.doc, protocol)
+        del _record(doc, protocol)["items"][0][key]
+        assert self_verify_report(Report(doc)).status == "unverifiable"
+
+    @pytest.mark.parametrize("key", ["layers_executed", "elapsed_seconds", "layers_per_second"])
+    def test_clops_without_aggregate_key_is_unverifiable(self, full_report, key):
+        doc = _only(full_report.doc, "clops")
+        del _record(doc, "clops")["aggregate"][key]
+        assert self_verify_report(Report(doc)).status == "unverifiable"
+
+    def test_empty_volumetric_record_is_verifiable(self, full_report):
+        doc = _only(full_report.doc, "volumetric")
+        record = _record(doc, "volumetric")
+        record["items"] = []
+        record["aggregate"]["rows"] = 0
+        assert self_verify_report(Report(doc)).status == "ok"
+
+    def test_inconsistent_collision_counts_are_a_discrepancy(self, full_report):
+        doc = _only(full_report.doc, "collision")
+        _record(doc, "collision")["items"][0]["distinct"] += 1
+        assert self_verify_report(Report(doc)).status == "discrepancies"
+
     def test_peak_without_base_flagged(self, report):
         doc = copy.deepcopy(report.doc)
         doc["peak"] = doc["base"]
@@ -185,6 +284,29 @@ class TestSelfVerify:
                 record["items"][0]["sample_hashes"] = ["0" * 64]
         outcome = self_verify_report(Report(doc), reexecute=1)
         assert any("sample hash" in d for d in outcome.discrepancies)
+
+
+class TestTracerBindings:
+    def test_suite_calls_protocols_through_report_names(self, monkeypatch):
+        # The benchmark's tracer wraps these names in qbench.report; the suite
+        # must look them up there at call time for its protocol spans to appear.
+        names = ["run_quantum_volume", "run_volumetric", "run_rb", "run_mirror_benchmark",
+                 "run_clops", "run_collision_test", "shadow_estimate", "xeb_verify_device"]
+        calls = {name: 0 for name in names}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(qbench.report, name, counting(name, getattr(qbench.report, name)))
+        config = make_config()
+        config.protocols.append(VOLUMETRIC)
+        rep = run_benchmark_suite(config)
+        assert all("error" not in r for r in rep.doc["base"])
+        assert calls == {name: 1 for name in names}
 
 
 class TestCli:
@@ -236,6 +358,31 @@ class TestCli:
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("verification", [1]), ("noise", [1]), ("noise", "x"), ("peak", [1]),
+        ("master_seed", "abc"), ("repetitions", "x"), ("device", 5), ("protocols", 5),
+    ])
+    def test_malformed_config_field_is_a_usage_error(self, tmp_path, key, value):
+        doc = make_config().to_json()
+        doc[key] = value
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
+
+    def test_check_reexecute_skips_errored_records(self, tmp_path):
+        doc = make_config().to_json()
+        doc["protocols"] = [
+            # strict by default: fewer than 100 circuits per width is a protocol error
+            {"name": "quantum_volume", "max_width": 2, "circuits_per_width": 4, "shots": 20},
+            {"name": "mirror", "widths": [3], "depths": [2], "randomizations": 1, "shots": 20},
+        ]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        report_path = tmp_path / "report.json"
+        assert main(["--out", str(report_path), "run", "--config", str(config_path)]) == 0
+        assert "error" in json.loads(report_path.read_text())["base"][0]
+        assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == 0
 
     def test_parse_and_stats_commands(self, tmp_path):
         qasm = tmp_path / "c.qasm"

@@ -202,6 +202,13 @@ class TestStabilizer:
         b = stabilizer_sample(c, 200, SeedStream(34).generator(), noise=noise)
         assert a == b
 
+    @pytest.mark.parametrize("noise", [None, NoiseModel.uniform(p2=0.5)])
+    def test_outcomes_wider_than_63_qubits(self, noise):
+        # p2 on a circuit without 2q gates takes the noisy path and flips nothing
+        c = measure_all(Circuit.from_gates(70, [X(0), X(69)]))
+        samples = stabilizer_sample(c, 5, SeedStream(35).generator(), noise=noise)
+        assert dict(samples.counts) == {"1" + "0" * 68 + "1": 5}
+
 
 def _basis_state_clifford(n: int, depth: int, stream: SeedStream) -> Circuit:
     """Random circuit over X, S, CX, CZ, SWAP and Pauli layers: every outcome is deterministic."""
