@@ -1,17 +1,30 @@
 """Cartan (KAK) decomposition of two-qubit unitaries and 3-CX synthesis.
 
-The decomposition runs in the magic (Bell) basis: conjugating U into that
-basis, the symmetric unitary W = U~^T U~ is diagonalized by a real orthogonal
-matrix, which splits U into local factors around a canonical interaction
-exp(i(a XX + b YY + c ZZ)).
+Every 4x4 unitary factors as
 
-Synthesis of an arbitrary U with exactly three CX gates works in two steps:
-first a one-parameter corrector CX * (local rotation) is chosen so that the
-remainder has a vanishing interaction coordinate (the obstruction
-Im tr[V (YY) V^T (YY)] is sinusoidal in the corrector angle and always has a
-root), then the remainder is emitted with the exact two-CX identity
-exp(i(a XX + c ZZ)) = CX (Rx(-2a) x Rz(-2c)) CX. Every synthesis is verified
-against its input to 1e-9 before being returned.
+    U = phase * (k1l x k1r) @ exp(i(a XX + b YY + c ZZ)) @ (k2l x k2r)
+
+with single-qubit k's. `weyl_decompose` finds the factors in the magic (Bell)
+basis, where local gates are real orthogonal: with U~ = M^dag U M scaled into
+SU(4), the symmetric unitary W = U~^T U~ is diagonalized by a real orthogonal
+O, and its eigenphases give (a, b, c). The real and imaginary parts of a
+symmetric unitary are commuting real symmetric matrices, so one symmetric
+eigensolve of Re W + t Im W diagonalizes both for a generic weight t. A few
+fixed weights are tried in turn, and the first O that diagonalizes W to 1e-9
+is kept. No eigenvalue-grouping threshold is involved, so inputs with a
+degenerate W (CX, SWAP, the identity, ...) and inputs near them decompose
+like any other.
+
+`synthesize_two_qubit` emits the canonical factor with the fixed three-CX
+circuit of Vatan and Williams (PRA 69, 032315 (2004), arXiv:quant-ph/0308006).
+With CX(i->j) controlled by qubit i,
+
+    exp(i(a XX + b YY + c ZZ)) = e^{i pi/4} (Rz(pi/2) x I) CX(1->0)
+        (I x Ry(pi/2 - 2b)) CX(0->1) (Rz(pi/2 - 2c) x Ry(2a - pi/2)) CX(1->0)
+        (I x Rz(-pi/2))
+
+for every (a, b, c); the outer rotations fold into the Weyl locals. Every
+synthesis is verified against its input to 1e-9 before being returned.
 """
 from __future__ import annotations
 
@@ -21,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import CX, Ry, Rz, gate_unitary, pauli_matrix
 from .errors import TranspileError
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -31,35 +45,32 @@ MAGIC = np.array(
      [0, 1j, -1, 0],
      [1, 0, 0, -1j]], dtype=complex) * _SQ2
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_XX = np.kron(_X, _X)
-_YY = np.kron(_Y, _Y)
-_ZZ = np.kron(_Z, _Z)
-_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-_PP = {"x": _XX, "y": _YY, "z": _ZZ}
+#: XX, YY, ZZ
+_PAULI_PAIRS = tuple(np.kron(pauli_matrix(p), pauli_matrix(p)) for p in "XYZ")
 
 # Rows: eigenvalues of (XX, YY, ZZ) on the four magic-basis columns.
 _EIG_SIGNS = np.array([
-    [float((MAGIC[:, j].conj() @ P @ MAGIC[:, j]).real) for P in (_XX, _YY, _ZZ)]
+    [float((MAGIC[:, j].conj() @ P @ MAGIC[:, j]).real) for P in _PAULI_PAIRS]
     for j in range(4)
 ])
 
+#: 4x4 CX keyed by local (control, target), qubit 0 the high bit; gate_unitary
+#: gives CX on its own targets, so CX(1->0) swaps the two qubit axes of CX(0->1)
+_CX = {(0, 1): gate_unitary(CX(0, 1))}
+_CX[1, 0] = _CX[0, 1].reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
-def _rz(t: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * t), 0], [0, cmath.exp(0.5j * t)]])
-
-
-def _rx(t: float) -> np.ndarray:
-    c, s = math.cos(t / 2), math.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+#: weights t for eigh(Re W + t Im W); two distinct eigenvalues of W merge at a
+#: single t, so a later weight separates what an unlucky one merges. The order
+#: of the eigenvalues sets (a, b, c): the first weight's order puts the Ry
+#: angles of the circuit below in [0, pi], where each lowers to one rotation,
+#: more often than weights near 0 do (measured on Haar inputs)
+_WEIGHTS = (3.7183, -2.6219, 1.8371, -0.4137)
 
 
 def canonical_matrix(a: float, b: float, c: float) -> np.ndarray:
     """exp(i(a XX + b YY + c ZZ)) from commuting closed forms."""
     out = np.eye(4, dtype=complex)
-    for coeff, pp in ((a, _XX), (b, _YY), (c, _ZZ)):
+    for coeff, pp in zip((a, b, c), _PAULI_PAIRS):
         out = (math.cos(coeff) * np.eye(4) + 1j * math.sin(coeff) * pp) @ out
     return out
 
@@ -71,31 +82,17 @@ def _to_su4(u: np.ndarray) -> tuple[np.ndarray, complex]:
     return u / phase, phase
 
 
-def _simultaneously_diagonalize(w: np.ndarray) -> np.ndarray:
-    """Real orthogonal O (det +1) with O^T w O diagonal, for symmetric unitary w."""
-    a, b = w.real.copy(), w.imag.copy()
-    vals, vecs = np.linalg.eigh(a)
-    o = vecs
-    # Refine inside degenerate eigenspaces of the real part using the imaginary part.
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][0]] < 1e-7:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    for grp in groups:
-        if len(grp) == 1:
-            continue
-        idx = np.ix_(grp, grp)
-        sub = o[:, grp]
-        _, inner = np.linalg.eigh((sub.T @ b @ sub))
-        o[:, grp] = sub @ inner
-    diag = o.T @ w @ o
-    if np.max(np.abs(diag - np.diag(np.diagonal(diag)))) > 1e-9:
-        raise TranspileError("failed to diagonalize the magic-basis symmetric form")
-    if np.linalg.det(o) < 0:
-        o[:, 0] = -o[:, 0]
-    return o
+def _simultaneously_diagonalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real orthogonal O (det +1) with O^T w O diagonal, and that diagonal, for
+    symmetric unitary w."""
+    for t in _WEIGHTS:
+        _, o = np.linalg.eigh(w.real + t * w.imag)
+        diag = o.T @ w @ o
+        if np.max(np.abs(diag - np.diag(np.diagonal(diag)))) <= 1e-9:
+            if np.linalg.det(o) < 0:
+                o[:, 0] = -o[:, 0]
+            return o, np.diagonal(diag)
+    raise TranspileError("failed to diagonalize the magic-basis symmetric form")
 
 
 def _split_local(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
@@ -106,8 +103,6 @@ def _split_local(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
         raise TranspileError("matrix is not a tensor product of single-qubit unitaries")
     k0 = (u[:, 0] * math.sqrt(s[0])).reshape(2, 2)
     k1 = (vh[0, :] * math.sqrt(s[0])).reshape(2, 2)
-    for m in (k0, k1):
-        pass
     d0 = np.linalg.det(k0)
     k0 = k0 / cmath.sqrt(d0)
     d1 = np.linalg.det(k1)
@@ -142,8 +137,7 @@ def weyl_decompose(u: np.ndarray) -> WeylDecomposition:
     u_su, phase0 = _to_su4(u)
     up = MAGIC.conj().T @ u_su @ MAGIC
     w = up.T @ up
-    o = _simultaneously_diagonalize(w)
-    d = np.diagonal(o.T @ w @ o)
+    o, d = _simultaneously_diagonalize(w)
     theta = np.angle(d) / 2.0
     p = up @ o @ np.diag(np.exp(-1j * theta))
     if np.max(np.abs(p.imag)) > 1e-8:
@@ -173,118 +167,13 @@ def weyl_decompose(u: np.ndarray) -> WeylDecomposition:
 
 # -- exactly-3-CX synthesis ----------------------------------------------------
 
-def _gamma_trace_im(u_su: np.ndarray) -> float:
-    g = u_su @ _YY @ u_su.T @ _YY
-    return float(np.trace(g).imag)
-
-
-def _corrector(variant: int, delta: float) -> np.ndarray:
-    if variant == 0:
-        return np.kron(np.eye(2), _rz(delta)) @ _CX
-    if variant == 1:
-        return np.kron(_rx(delta), np.eye(2)) @ _CX
-    if variant == 2:
-        return _CX @ np.kron(np.eye(2), _rz(delta))
-    return _CX @ np.kron(_rx(delta), np.eye(2))
-
-
-def _solve_corrector(u: np.ndarray) -> tuple[int, float]:
-    """Variant and angle so that u @ corrector has a two-CX interaction class."""
-    for variant in range(4):
-        def f(delta: float) -> float:
-            return _gamma_trace_im(_to_su4(u @ _corrector(variant, delta))[0])
-
-        f0, f1, f2 = f(0.0), f(math.pi / 2), f(math.pi)
-        k0 = 0.5 * (f0 + f2)
-        kc = 0.5 * (f0 - f2)
-        ks = f1 - k0
-        r = math.hypot(kc, ks)
-        if r < 1e-14:
-            if abs(k0) < 1e-10:
-                return variant, 0.0
-            continue
-        ratio = -k0 / r
-        if abs(ratio) > 1.0:
-            if abs(ratio) > 1.0 + 1e-12:
-                continue
-            ratio = math.copysign(1.0, ratio)
-        phi = math.atan2(ks, kc)
-        for delta in sorted(((phi + math.acos(ratio)) % (2 * math.pi),
-                             (phi - math.acos(ratio)) % (2 * math.pi))):
-            if abs(f(delta)) < 1e-9:
-                return variant, float(delta)
-    raise TranspileError("no three-CX corrector angle found")
-
-
 @dataclass
 class TwoQubitSequence:
-    """Flat op list: ("u", qubit, 2x2 matrix) and ("cx",) entries, plus a phase."""
+    """Flat op list in circuit order: ("u", qubit, 2x2 matrix) and
+    ("cx", control, target) entries on local qubits 0 and 1, plus a phase."""
 
     ops: list[tuple]
     phase: complex
-
-
-def _shift_reduce(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Reduce each coordinate into [0, pi/2); returns (reduced, right-compensation, phase).
-
-    canonical(c) = canonical(c') @ comp, comp a Pauli-pair product times a phase.
-    """
-    comp = np.eye(4, dtype=complex)
-    reduced = coords.copy()
-    for k, pp in enumerate((_XX, _YY, _ZZ)):
-        m = math.floor(reduced[k] / (math.pi / 2) + 1e-9)
-        if reduced[k] - m * math.pi / 2 > math.pi / 2 - 1e-9:
-            m += 1  # value sitting just under the next pi/2 boundary wraps to ~0
-        if m:
-            reduced[k] -= m * math.pi / 2
-            # exp(i (m pi/2) PP) = (i PP)^m
-            if m % 4:
-                comp = np.linalg.matrix_power(1j * pp, m % 4) @ comp
-        reduced[k] = max(reduced[k], 0.0)
-    return reduced, comp, 1.0 + 0.0j
-
-
-def _two_cx_ops(dec: WeylDecomposition) -> TwoQubitSequence:
-    """Emit a two-CX-class decomposition as u/cx ops (exactly 2 cx entries)."""
-    coords = np.array(dec.coords, dtype=float)
-    reduced, comp, _ = _shift_reduce(coords)
-    zero_k = int(np.argmin(np.abs(np.sin(2 * reduced))))
-    if abs(math.sin(2 * reduced[zero_k])) > 1e-6:
-        raise TranspileError("remainder is not in the two-CX class")
-    reduced[zero_k] = 0.0
-
-    a, b, c = reduced
-    pre = np.eye(4, dtype=complex)
-    post = np.eye(4, dtype=complex)
-    if zero_k == 1:
-        alpha, gamma = a, c
-    elif zero_k == 0:
-        # swap XX and YY roles with S x S conjugation
-        s = np.diag([1, 1j]).astype(complex)
-        pre, post = np.kron(s, s), np.kron(s, s).conj().T
-        alpha, gamma = b, c
-    else:
-        # swap YY and ZZ roles with Rx(pi/2) x Rx(pi/2) conjugation
-        w = _rx(math.pi / 2)
-        pre, post = np.kron(w, w), np.kron(w, w).conj().T
-        alpha, gamma = a, b
-
-    # canonical(alpha, 0, gamma) = CX (Rx(-2 alpha) x Rz(-2 gamma)) CX
-    ops: list[tuple] = []
-    # order: post-locals of the whole product come first in circuit order
-    right = post @ comp @ np.kron(dec.k2l, dec.k2r)
-    r0, r1, ph_r = _split_local(right)
-    ops.append(("u", 0, r0))
-    ops.append(("u", 1, r1))
-    ops.append(("cx",))
-    ops.append(("u", 0, _rx(-2 * alpha)))
-    ops.append(("u", 1, _rz(-2 * gamma)))
-    ops.append(("cx",))
-    left = np.kron(dec.k1l, dec.k1r) @ pre
-    l0, l1, ph_l = _split_local(left)
-    ops.append(("u", 0, l0))
-    ops.append(("u", 1, l1))
-    return TwoQubitSequence(ops, dec.phase * ph_l * ph_r)
 
 
 def synthesize_two_qubit(u: np.ndarray) -> TwoQubitSequence:
@@ -293,20 +182,19 @@ def synthesize_two_qubit(u: np.ndarray) -> TwoQubitSequence:
     The result is verified against the input (up to global phase) to 1e-9.
     """
     u = np.asarray(u, dtype=complex)
-    variant, delta = _solve_corrector(u)
-    corr = _corrector(variant, delta)
-    remainder = u @ corr
-    seq = _two_cx_ops(weyl_decompose(remainder))
-    # u = remainder @ corr^dagger, so the corrector inverse runs first in circuit order.
-    rot = _rz(-delta) if variant in (0, 2) else _rx(-delta)
-    qubit = 1 if variant in (0, 2) else 0
-    if variant in (0, 1):
-        # corr = rot @ CX  ->  corr^dagger = CX @ rot^dagger (rot^dagger applies first)
-        corr_ops = [("u", qubit, rot), ("cx",)]
-    else:
-        # corr = CX @ rot  ->  corr^dagger = rot^dagger @ CX (CX applies first)
-        corr_ops = [("cx",), ("u", qubit, rot)]
-    out = TwoQubitSequence(corr_ops + list(seq.ops), seq.phase)
+    dec = weyl_decompose(u)
+    a, b, c = dec.coords
+    half_pi = math.pi / 2
+    out = TwoQubitSequence([
+        ("u", 0, dec.k2l), ("u", 1, gate_unitary(Rz(1, -half_pi)) @ dec.k2r),
+        ("cx", 1, 0),
+        ("u", 0, gate_unitary(Rz(0, half_pi - 2 * c))),
+        ("u", 1, gate_unitary(Ry(1, 2 * a - half_pi))),
+        ("cx", 0, 1),
+        ("u", 1, gate_unitary(Ry(1, half_pi - 2 * b))),
+        ("cx", 1, 0),
+        ("u", 0, dec.k1l @ gate_unitary(Rz(0, half_pi))), ("u", 1, dec.k1r),
+    ], dec.phase * cmath.exp(0.25j * math.pi))
     check = sequence_matrix(out)
     inner = np.trace(check.conj().T @ u)
     phase = inner / abs(inner) if abs(inner) > 1e-12 else 1.0
@@ -316,11 +204,11 @@ def synthesize_two_qubit(u: np.ndarray) -> TwoQubitSequence:
 
 
 def sequence_matrix(seq: TwoQubitSequence) -> np.ndarray:
-    """4x4 matrix of an op list (targets fixed as qubits 0 and 1)."""
+    """4x4 matrix of an op list (local qubit 0 the high bit)."""
     m = np.eye(4, dtype=complex)
     for op in seq.ops:
         if op[0] == "cx":
-            m = _CX @ m
+            m = _CX[op[1], op[2]] @ m
         else:
             _, qubit, u2 = op
             full = np.kron(u2, np.eye(2)) if qubit == 0 else np.kron(np.eye(2), u2)

@@ -105,7 +105,9 @@ class RunConfig:
             protocols=protocols,
             verification=dict(doc.get("verification", {})),
             noise=dict(doc.get("noise", {})),
-            peak=TranspileConfig.from_json({**peak, "mode": "peak"}) if peak else None,
+            peak=TranspileConfig.from_json(
+                {**peak, "mode": "peak", "seed": _number("peak", peak, "seed", int, 0)})
+            if peak else None,
             master_seed=int(doc.get("master_seed", 0)),
             repetitions=int(doc.get("repetitions", 1)),
             out=doc.get("out"),
@@ -130,6 +132,15 @@ class RunConfig:
         }
 
 
+def _number(section: str, spec: Mapping, key: str, kind: type, default=None):
+    """`kind(spec[key])`, or `kind(default)` without the key; ValidationError if not a number."""
+    try:
+        return kind(spec.get(key, default))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"run-config {section}.{key} is not a number: {spec[key]!r}") from None
+
+
 def build_noise(config: RunConfig) -> NoiseModel | None:
     """Noise model from the run config: device error book plus overrides."""
     spec = config.noise
@@ -140,13 +151,13 @@ def build_noise(config: RunConfig) -> NoiseModel | None:
         model = NoiseModel(
             gate_error=dict(model.gate_error) if spec.get("use_device_errors", False) else {},
             edge_error=dict(model.edge_error) if spec.get("use_device_errors", False) else {},
-            readout_error=(float(spec.get("readout", 0.0)),),
-            default_1q=float(spec.get("p1", 0.0)),
-            default_2q=float(spec.get("p2", 0.0)),
+            readout_error=(_number("noise", spec, "readout", float, 0.0),),
+            default_1q=_number("noise", spec, "p1", float, 0.0),
+            default_2q=_number("noise", spec, "p2", float, 0.0),
             drift=model.drift,
         )
     if "scale" in spec:
-        model = model.scaled(float(spec["scale"]))
+        model = model.scaled(_number("noise", spec, "scale", float))
     if model.is_trivial:
         return None
     return model
@@ -306,11 +317,11 @@ def run_benchmark_suite(config: RunConfig) -> Report:
     ver = config.verification
     verification = xeb_verify_device(
         device, noise,
-        int(ver.get("n", min(6, comp_width))),
-        int(ver.get("circuits", 10)),
-        int(ver.get("shots", 5000)),
+        _number("verification", ver, "n", int, min(6, comp_width)),
+        _number("verification", ver, "circuits", int, 10),
+        _number("verification", ver, "shots", int, 5000),
         master.child(0),
-        threshold=float(ver.get("threshold", 0.9)),
+        threshold=_number("verification", ver, "threshold", float, 0.9),
     )
 
     doc: dict = {
@@ -375,17 +386,18 @@ def run_benchmark_suite(config: RunConfig) -> Report:
                 records.append(record)
         doc[mode] = records
 
+    # one aggregate per config entry, pooled over repetitions only
     for mode, _ in modes:
-        for entry in config.protocols:
-            values = [headline_value(r)[1] for r in doc[mode]
-                      if r["protocol"] == entry["name"] and "error" not in r]
+        for i, entry in enumerate(config.protocols):
+            values = [headline_value(r)[1] for r in doc[mode][i::len(config.protocols)]
+                      if "error" not in r]
             if values:
                 spec = PROTOCOLS[entry["name"]]
                 descriptor = spec.descriptor if isinstance(spec.descriptor, str) else \
                     spec.descriptor.get(entry.get("metric", "hog"), spec.descriptor["hog"])
                 mean = float(np.mean(values))
                 std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-                doc["aggregates"][f"{mode}:{entry['name']}"] = {
+                doc["aggregates"][f"{mode}:{i}:{entry['name']}"] = {
                     "metric": spec.headline,
                     "values": values,
                     "mean": mean,
@@ -448,7 +460,7 @@ def render_report(report: Report, fmt: str = "json") -> bytes:
                          f"{metric:<22}{value:<16.6g}")
         for key, agg in sorted(doc["aggregates"].items()):
             if key.startswith(mode + ":") and len(agg["values"]) > 1:
-                lines.append(f"   {key.split(':', 1)[1]:<16}{'avg':<5}{agg['metric']:<22}"
+                lines.append(f"   {key.rsplit(':', 1)[1]:<16}{'avg':<5}{agg['metric']:<22}"
                              f"{agg['mean']:<10.6g} +/- {agg['std']:.3g}")
     lines.append(thin)
     lines.append(" Quality attribute checklist")
@@ -528,7 +540,9 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
 
     `reexecute > 0` additionally regenerates that many quantum-volume circuits
     from their seed ledger and compares freshly sampled counts hash-exactly.
-    Missing raw records yield "unverifiable" rather than failure.
+    Seeded bits are reproducible only within one harness version, so a report
+    made by another version is not re-executed. Missing raw records, or a
+    skipped re-execution, yield "unverifiable" rather than failure.
     """
     doc = report.doc
     problems: list[str] = []
@@ -547,11 +561,19 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
         else:
             unverifiable.append(str(record.get("protocol")))
 
+    skipped = None
     if reexecute > 0:
-        problems.extend(_reexecute_check(doc, reexecute))
+        version = doc.get("header", {}).get("harness_version")
+        if version == __version__:
+            problems.extend(_reexecute_check(doc, reexecute))
+        else:
+            skipped = (f"re-execution skipped: report made by qbench {version}, "
+                       f"this is qbench {__version__}")
 
     if problems:
         return VerifyOutcome(False, "discrepancies", problems)
+    if skipped:
+        return VerifyOutcome(False, "unverifiable", [skipped])
     if not verified_any:
         return VerifyOutcome(False, "unverifiable",
                              [f"no recomputable records (skipped: {sorted(set(unverifiable))})"])

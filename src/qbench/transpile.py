@@ -12,7 +12,6 @@ import time
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -37,16 +36,14 @@ class TranspileConfig:
 
     mode: str = "base"
     passes: tuple[str, ...] = ()
-    options: Mapping[str, object] = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("base", "peak"):
             raise TranspileError(f"unknown transpile mode {self.mode!r}")
         object.__setattr__(self, "passes", tuple(self.passes))
-        object.__setattr__(self, "options", MappingProxyType(dict(self.options)))
-        if self.mode == "base" and (self.passes or dict(self.options)):
-            raise TranspileError("base mode is a fixed pipeline; it takes no passes or options")
+        if self.mode == "base" and self.passes:
+            raise TranspileError("base mode is a fixed pipeline; it takes no passes")
 
     def effective_passes(self) -> tuple[str, ...]:
         if self.mode == "base":
@@ -54,13 +51,12 @@ class TranspileConfig:
         return self.passes or BASE_PASSES
 
     def to_json(self) -> dict:
-        return {"mode": self.mode, "passes": list(self.passes),
-                "options": dict(self.options), "seed": self.seed}
+        return {"mode": self.mode, "passes": list(self.passes), "seed": self.seed}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "TranspileConfig":
         return cls(doc.get("mode", "base"), tuple(doc.get("passes", ())),
-                   doc.get("options", {}), int(doc.get("seed", 0)))
+                   int(doc.get("seed", 0)))
 
 
 @dataclass
@@ -244,7 +240,7 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
             seq = synthesize_two_qubit(gate.matrix)
             for op in seq.ops:
                 if op[0] == "cx":
-                    _emit_cx(gate.targets[0], gate.targets[1], ent, family, device, out)
+                    _emit_cx(gate.targets[op[1]], gate.targets[op[2]], ent, family, device, out)
                 else:
                     _, local_q, u2 = op
                     _emit_1q(gate.targets[local_q], u2, family, out)

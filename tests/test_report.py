@@ -3,11 +3,12 @@ import json
 
 import pytest
 
+import qbench
 import qbench.report
 from qbench.cli import main
 from qbench.device import DeviceModel
 from qbench.report import (
-    Report, RunConfig, canonical_json, render_report, run_benchmark_suite,
+    Report, RunConfig, canonical_json, headline_value, render_report, run_benchmark_suite,
     self_verify_report, strip_volatile,
 )
 
@@ -117,7 +118,7 @@ class TestSuite:
     def test_repetitions_recorded_with_mean_and_std(self):
         rep = run_benchmark_suite(make_config(reps=2))
         assert len(rep.doc["base"]) == 12
-        agg = rep.doc["aggregates"]["base:quantum_volume"]
+        agg = rep.doc["aggregates"]["base:0:quantum_volume"]
         assert len(agg["values"]) == 2
         assert "mean" in agg and "std" in agg
 
@@ -134,11 +135,25 @@ class TestSuite:
         errors = [r for r in rep.doc["base"] if "error" in r]
         assert len(errors) == 1 and errors[0]["protocol"] == "rb"
         assert any(r["protocol"] == "mirror" and "error" not in r for r in rep.doc["base"])
-        assert "base:rb" not in rep.doc["aggregates"]
+        assert "base:0:rb" not in rep.doc["aggregates"]
         text = render_report(rep, "text").decode()
         assert "error" in text
         outcome = self_verify_report(rep)
         assert outcome.ok  # the mirror record is still recomputable
+
+    def test_entries_of_one_protocol_get_one_aggregate_each(self):
+        config = make_config(reps=2)
+        config.protocols = [{**VOLUMETRIC, "widths": [2], "metric": "hog", "shots": 50},
+                            {**VOLUMETRIC, "widths": [2], "metric": "l1", "shots": 50}]
+        rep = run_benchmark_suite(config)
+        aggs = rep.doc["aggregates"]
+        assert sorted(aggs) == ["base:0:volumetric", "base:1:volumetric"]
+        assert aggs["base:0:volumetric"]["record"]["name"] == "heavy_output_generation"
+        assert aggs["base:1:volumetric"]["record"]["name"] == "l1_distance"
+        for i, metric in enumerate(("hog", "l1")):
+            own = [r for r in rep.doc["base"] if r["items"][0]["metric"] == metric]
+            assert len(own) == 2
+            assert aggs[f"base:{i}:volumetric"]["values"] == [headline_value(r)[1] for r in own]
 
     def test_empty_observable_list_recorded_as_protocol_error(self):
         config = make_config()
@@ -146,7 +161,7 @@ class TestSuite:
         rep = run_benchmark_suite(config)
         [record] = rep.doc["base"]
         assert record["error"].startswith("ValidationError")
-        assert "base:shadows" not in rep.doc["aggregates"]
+        assert "base:0:shadows" not in rep.doc["aggregates"]
 
     def test_verification_failure_gates_protocols(self):
         config = make_config(noise={"p1": 1.0, "p2": 1.0, "readout": 0.5})
@@ -167,7 +182,7 @@ class TestSuite:
         assert Report.from_json(json.loads(text)).canonical() == text
 
     def test_aggregates_carry_metric_records_with_descriptors(self, report):
-        agg = report.doc["aggregates"]["base:quantum_volume"]
+        agg = report.doc["aggregates"]["base:0:quantum_volume"]
         assert agg["record"]["name"] == "quantum_volume"
         assert agg["record"]["value"] == agg["mean"]
         assert agg["record"]["descriptor"]["performance"] == ["scalability", "quality"]
@@ -369,6 +384,40 @@ class TestCli:
         config_path = tmp_path / "run.json"
         config_path.write_text(json.dumps(doc))
         assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
+
+    @pytest.mark.parametrize("section,key",
+                             [("verification", "n"), ("noise", "p1"), ("peak", "seed")])
+    def test_non_numeric_config_value_is_a_usage_error(self, tmp_path, capsys, section, key):
+        doc = make_config().to_json()
+        doc[section] = {key: "x"}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_reexecution_of_another_versions_report_is_unverifiable(self, tmp_path, capsys):
+        doc = make_config().to_json()
+        doc["protocols"] = [{"name": "quantum_volume", "max_width": 2, "circuits_per_width": 2,
+                             "shots": 20, "strict": False}]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        report_path = tmp_path / "report.json"
+        assert main(["--out", str(report_path), "run", "--config", str(config_path)]) == 0
+        check = ["check", "--report", str(report_path)]
+        capsys.readouterr()
+        assert main(check + ["--reexecute", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+        stored = json.loads(report_path.read_text())
+        stored["header"]["harness_version"] = "0.0.1"
+        report_path.write_text(json.dumps(stored))
+        assert main(check + ["--reexecute", "1"]) == 3
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["status"] == "unverifiable"
+        assert "0.0.1" in outcome["discrepancies"][0]
+        assert qbench.__version__ in outcome["discrepancies"][0]
+        assert main(check) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
     def test_check_reexecute_skips_errored_records(self, tmp_path):
         doc = make_config().to_json()

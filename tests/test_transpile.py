@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from qbench.circuits import (
-    CX, Circuit, GateKind, H, Rz, SWAP, U2Q, inverse_circuit, measure_all,
+    CX, CZ, Circuit, GateKind, H, Rz, SWAP, U2Q, gate_unitary, inverse_circuit, measure_all,
 )
 from qbench.device import DeviceModel, validate_against_device
 from qbench.errors import EquivalenceProbeError, TranspileError
-from qbench.kak import sequence_matrix, synthesize_two_qubit, weyl_decompose
+from qbench.kak import (
+    TwoQubitSequence, canonical_matrix, sequence_matrix, synthesize_two_qubit, weyl_decompose,
+)
 from qbench.randgen import haar_unitary, qv_model_circuit, random_clifford_circuit
 from qbench.rng import SeedStream
 from qbench.statevector import ideal_distribution, run_statevector
@@ -17,6 +19,38 @@ from qbench.transpile import (
 
 RXCX = (GateKind.RZ, GateKind.RX, GateKind.CX)
 RYCZ = (GateKind.RZ, GateKind.RY, GateKind.CZ)
+
+_ANGLES = {"0": 0.0, "pi4": np.pi / 4, "pi2": np.pi / 2}
+_CORNERS = {f"canonical_{a}_{b}_{c}": canonical_matrix(_ANGLES[a], _ANGLES[b], _ANGLES[c])
+            for a in _ANGLES for b in _ANGLES for c in _ANGLES}
+
+
+def _near(corner: np.ndarray, eps: float, seed: int) -> np.ndarray:
+    """A seeded unitary within eps of `corner` dressed with random local gates."""
+    rng = SeedStream(seed).generator()
+    left = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    right = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    vals, vecs = np.linalg.eigh(h + h.conj().T)
+    kick = vecs @ np.diag(np.exp(1j * eps * vals / np.max(np.abs(vals)))) @ vecs.conj().T
+    return left @ corner @ right @ kick
+
+
+_SYNTHESIS_INPUTS = [
+    pytest.param(np.eye(4, dtype=complex), id="identity"),
+    pytest.param(gate_unitary(CX(0, 1)), id="cx"),
+    pytest.param(gate_unitary(CZ(0, 1)), id="cz"),
+    pytest.param(gate_unitary(SWAP(0, 1)), id="swap"),
+    pytest.param(np.array([[1, 0, 0, 0], [0, 0, 1j, 0], [0, 1j, 0, 0], [0, 0, 0, 1]]),
+                 id="iswap"),
+    pytest.param(np.array([[1, 0, 0, 0], [0, (1 + 1j) / 2, (1 - 1j) / 2, 0],
+                           [0, (1 - 1j) / 2, (1 + 1j) / 2, 0], [0, 0, 0, 1]]), id="sqrt_swap"),
+    pytest.param(np.kron(haar_unitary(2, SeedStream(65).generator()),
+                         haar_unitary(2, SeedStream(66).generator())), id="haar_local"),
+    *(pytest.param(m, id=name) for name, m in _CORNERS.items()),
+    *(pytest.param(_near(m, eps, 67 + k), id=f"{name}_near{eps:g}")
+      for eps in (1e-9, 1e-7) for k, (name, m) in enumerate(_CORNERS.items())),
+]
 
 
 class TestKak:
@@ -38,16 +72,19 @@ class TestKak:
             phase = inner / abs(inner)
             assert np.max(np.abs(phase * m - u)) < 1e-9
 
-    def test_synthesis_of_clifford_specials(self):
-        from qbench.circuits import gate_unitary
+    @pytest.mark.parametrize("u", _SYNTHESIS_INPUTS)
+    def test_synthesis_of_clifford_specials(self, u):
+        seq = synthesize_two_qubit(u)
+        assert sum(1 for op in seq.ops if op[0] == "cx") == 3
+        m = sequence_matrix(seq)
+        inner = np.trace(m.conj().T @ u)
+        phase = inner / abs(inner)
+        assert np.max(np.abs(phase * m - u)) < 1e-9
 
-        for gate in (CX(0, 1), SWAP(0, 1)):
-            u = gate_unitary(gate)
-            seq = synthesize_two_qubit(u)
-            m = sequence_matrix(seq)
-            inner = np.trace(m.conj().T @ u)
-            phase = inner / abs(inner)
-            assert np.max(np.abs(phase * m - u)) < 1e-9
+    def test_sequence_cx_carries_its_control(self):
+        m = sequence_matrix(TwoQubitSequence([("cx", 1, 0)], 1.0))
+        # qubit 0 is the high bit: qubit 1 set flips qubit 0, |01> <-> |11>
+        assert np.array_equal(m, np.eye(4)[[0, 3, 2, 1]])
 
 
 class TestRouting:
