@@ -10,7 +10,9 @@ Draw layout: for each gate in order, and each of its sites whose clipped rate
 is above 0 for some shot, `rng.random(batch) < rates` then
 `rng.integers(0, len(labels), batch)`; after sampling, for each measured qubit
 in order whose clipped readout rate is above 0 for some shot, one
-`rng.random(batch) < rates`.
+`rng.random(batch) < rates`. Between the two, the tableau sampler draws each
+shot's outcome picks in shot order, one `rng.integers(0, 2, (1, k), uint8)`
+per shot when the ideal outcomes span k > 0 random bits.
 """
 from __future__ import annotations
 
@@ -72,6 +74,13 @@ def drift_rate_at(schedule: DriftSchedule, base_rate: float, shot_index: int) ->
 PAULI_LABELS = {
     1: ("X", "Y", "Z"),
     2: tuple(a + b for a in "IXYZ" for b in "IXYZ")[1:],
+}
+
+#: (x bits, z bits) of each label in `PAULI_LABELS`, each of shape (labels, qubits)
+PAULI_BITS = {
+    k: tuple(np.array([[letter in part for letter in label] for label in labels], dtype=np.uint8)
+             for part in ("XY", "YZ"))
+    for k, labels in PAULI_LABELS.items()
 }
 
 

@@ -1,12 +1,21 @@
 """Stabilizer-tableau simulation for Clifford circuits.
 
 The tableau keeps 2n generator rows (n destabilizers, n stabilizers) as X/Z
-bit matrices plus a sign bit per row, updated with the usual CHP-style rules.
-Sampling does not measure qubit by qubit; instead the computational-basis
-outcome distribution of a stabilizer state is uniform over an affine GF(2)
-subspace, which is extracted once by Gaussian elimination and then sampled
-with vectorized bit algebra. The same row representation doubles as an exact
-group-element encoding for Clifford enumeration.
+bit matrices plus a sign bit per row, updated with the rules of CHP (Aaronson
+& Gottesman, PRA 70, 052328 (2004)). Sampling does not measure qubit by qubit;
+instead the computational-basis outcome distribution of a stabilizer state is
+uniform over an affine GF(2) subspace, c0 xor span(basis), which is extracted
+once by Gaussian elimination and then sampled with vectorized bit algebra.
+
+Noisy circuits are sampled with Pauli frames, as in Stim (Gidney, Quantum 5,
+497 (2021)): the ideal tableau is evolved once, and each shot carries only
+the X and Z bits of the Pauli its errors add up to, conjugated through the
+gates that follow them. Signs are dropped, since they do not change outcomes.
+A frame's X bits flip outcome bits and its Z bits leave them alone, so a
+shot's outcomes are uniform over c0 xor frame_x xor span(basis).
+
+The same row representation doubles as an exact group-element encoding for
+Clifford enumeration.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ import numpy as np
 from .circuits import CLIFFORD_KINDS, Circuit, Gate, GateKind
 from .distributions import SampleSet
 from .errors import NonCliffordError, ValidationError
-from .noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
+from .noise import PAULI_BITS, NoiseModel, draw_gate_errors, draw_readout_flips
 
 STABILIZER_WIDTH_CAP = 1000
 
@@ -217,14 +226,6 @@ def _gf2_solve(rows: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.nda
     return c, basis
 
 
-def _require_clifford(circuit: Circuit) -> None:
-    for g in circuit.all_gates():
-        if g.kind not in CLIFFORD_KINDS and g.kind not in (GateKind.MEASURE, GateKind.BARRIER):
-            raise NonCliffordError(f"gate {g.kind.value} is not Clifford")
-    if circuit.metadata.get("mid_measure"):
-        raise NonCliffordError("mid-circuit measurement is not supported by the tableau sampler")
-
-
 def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:
     """Counts of the measured bit columns, keyed from the bit rows so that any width fits."""
     rows, freq = np.unique(bits[:, list(measured)], axis=0, return_counts=True)
@@ -233,7 +234,12 @@ def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:
 
 
 def evolve_tableau(circuit: Circuit) -> StabilizerTableau:
-    _require_clifford(circuit)
+    """The ideal tableau after `circuit`, which must be Clifford and measure only at the end."""
+    for g in circuit.all_gates():
+        if g.kind not in CLIFFORD_KINDS and g.kind not in (GateKind.MEASURE, GateKind.BARRIER):
+            raise NonCliffordError(f"gate {g.kind.value} is not Clifford")
+    if circuit.metadata.get("mid_measure"):
+        raise NonCliffordError("mid-circuit measurement is not supported by the tableau sampler")
     if circuit.n_qubits > STABILIZER_WIDTH_CAP:
         raise ValidationError(f"width {circuit.n_qubits} exceeds the tableau cap {STABILIZER_WIDTH_CAP}")
     tab = StabilizerTableau(circuit.n_qubits)
@@ -251,49 +257,72 @@ def deterministic_outcome(circuit: Circuit) -> str | None:
     return "".join(str(int(c0[q])) for q in measured)
 
 
+def _push_frame(fx: np.ndarray, fz: np.ndarray, gate: Gate) -> None:
+    """Conjugate the (qubits, shots) Pauli frame bits through one Clifford gate, signs dropped."""
+    k, t = gate.kind, gate.targets
+    if k is GateKind.H:
+        a = t[0]
+        fx[a], fz[a] = fz[a], fx[a].copy()
+    elif k in (GateKind.S, GateKind.SDG):
+        fz[t[0]] ^= fx[t[0]]
+    elif k is GateKind.CX:
+        a, b = t
+        fx[b] ^= fx[a]
+        fz[a] ^= fz[b]
+    elif k is GateKind.CZ:
+        a, b = t
+        fz[a] ^= fx[b]
+        fz[b] ^= fx[a]
+    elif k is GateKind.SWAP:
+        swap = [t[1], t[0]]
+        fx[list(t)] = fx[swap]
+        fz[list(t)] = fz[swap]
+
+
 def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
                       noise: NoiseModel | None = None) -> SampleSet:
     """Sample measurement outcomes of a Clifford circuit.
 
-    With a noise model, the errors of all shots are drawn first with the
-    channel and layout of `qbench.noise` (as the statevector sampler draws one
-    chunk); then each shot, in order, evolves its own tableau with its errors
-    and samples it; the readout flips are drawn and applied last.
+    The ideal tableau is evolved once. With a noise model, each shot gets a
+    Pauli frame, X and Z bits per qubit, that is pushed through the gates;
+    after each gate, the errors `qbench.noise` draws for it (for all shots, as
+    the statevector sampler draws one chunk) are XORed into the frames. A
+    shot's outcome is c0 xor its frame's X bits, reduced to the coset
+    representative that is 0 on the free columns of the basis, xor the basis
+    rows it picks with one `rng.integers(0, 2, (1, k), uint8)` per shot. So
+    every shot gets the bits a tableau evolved with its own errors would give.
+    The readout flips are drawn and applied last.
     """
-    _require_clifford(circuit)
+    tab = evolve_tableau(circuit)
     if shots <= 0:
         raise ValidationError("shots must be positive")
-    if circuit.n_qubits > STABILIZER_WIDTH_CAP:
-        raise ValidationError(f"width {circuit.n_qubits} exceeds the tableau cap {STABILIZER_WIDTH_CAP}")
     n = circuit.n_qubits
     measured = circuit.measured_qubits() or tuple(range(n))
 
     if noise is None or noise.is_trivial:
-        return _sample_set(evolve_tableau(circuit).sample_bits(shots, rng), measured)
+        return _sample_set(tab.sample_bits(shots, rng), measured)
 
     offsets = noise.shot_offsets(shots)
-    gates = [g for g in circuit.all_gates() if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
-    # Sparse per-shot error lists of (gate position, qubits, Pauli label), in gate order.
-    errors: list[list[tuple[int, tuple[int, ...], str]]] = [[] for _ in range(shots)]
-    for pos, gate in enumerate(gates):
+    fx = np.zeros((n, shots), dtype=np.uint8)
+    fz = np.zeros((n, shots), dtype=np.uint8)
+    for gate in circuit.all_gates():
+        _push_frame(fx, fz, gate)
         for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
-            labels = PAULI_LABELS[len(qubits)]
-            for shot, choice in zip(rows.tolist(), choices.tolist()):
-                errors[shot].append((pos, qubits, labels[choice]))
+            x_bits, z_bits = PAULI_BITS[len(qubits)]
+            for j, q in enumerate(qubits):
+                fx[q, rows] ^= x_bits[choices, j]
+                fz[q, rows] ^= z_bits[choices, j]
 
-    bits = np.empty((shots, n), dtype=np.uint8)
-    for shot in range(shots):
-        tab = StabilizerTableau(n)
-        done = 0
-        for pos, qubits, word in errors[shot]:
-            for gate in gates[done:pos + 1]:
-                tab.apply_gate(gate)
-            done = pos + 1
-            for t, letter in zip(qubits, word):
-                tab._pauli(t, letter)
-        for gate in gates[done:]:
-            tab.apply_gate(gate)
-        bits[shot] = tab.sample_bits(1, rng)[0]
+    c0, basis = tab.outcome_space()
+    bits = c0 ^ fx.T
+    k = basis.shape[0]
+    if k:
+        # Each basis row is 1 on its own free column (its last set bit) and 0 on the others.
+        free = n - 1 - np.argmax(basis[:, ::-1], axis=1)
+        bits ^= (bits[:, free] @ basis) & 1
+        # One draw per shot: a single (shots, k) uint8 draw takes other bits from the stream.
+        picks = np.concatenate([rng.integers(0, 2, size=(1, k), dtype=np.uint8) for _ in range(shots)])
+        bits ^= (picks @ basis) & 1
     for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
         bits[:, q] ^= flips
     return _sample_set(bits, measured)

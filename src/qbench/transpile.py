@@ -20,7 +20,7 @@ from .circuits import (
     TWO_QUBIT_KINDS, gate_unitary, measure_all,
 )
 from .device import DeviceModel, validate_against_device
-from .errors import EquivalenceProbeError, TranspileError
+from .errors import EquivalenceProbeError, TranspileError, ValidationError
 from .kak import euler_zyz, synthesize_two_qubit
 from .rng import SeedStream
 from .statevector import ideal_distribution
@@ -55,8 +55,10 @@ class TranspileConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "TranspileConfig":
-        return cls(doc.get("mode", "base"), tuple(doc.get("passes", ())),
-                   int(doc.get("seed", 0)))
+        mode, passes = doc.get("mode", "base"), doc.get("passes", [])
+        if not (isinstance(passes, list) and all(isinstance(p, str) for p in passes)):
+            raise ValidationError(f"run-config {mode}.passes is not a list of pass names: {passes!r}")
+        return cls(mode, tuple(passes), int(doc.get("seed", 0)))
 
 
 @dataclass

@@ -1,0 +1,5 @@
+"""Test-suite settings: property tests draw the same examples on every run."""
+from hypothesis import settings
+
+settings.register_profile("qbench", derandomize=True, deadline=None)
+settings.load_profile("qbench")

@@ -395,6 +395,25 @@ class TestCli:
         assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    def test_peak_passes_that_are_not_a_list_exit_1(self, tmp_path, capsys):
+        doc = make_config().to_json()
+        doc["peak"] = {"passes": 5}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
+        assert "peak.passes" in capsys.readouterr().err
+
+    def test_peak_passes_given_as_one_string_exit_1(self, tmp_path, capsys):
+        # A string is iterable: it used to be read as the passes 'r', 'o', ...
+        doc = make_config().to_json()
+        doc["peak"] = {"passes": "route"}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "r.json"), "run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "peak.passes" in err
+        assert "unknown pass" not in err
+
     def test_reexecution_of_another_versions_report_is_unverifiable(self, tmp_path, capsys):
         doc = make_config().to_json()
         doc["protocols"] = [{"name": "quantum_volume", "max_width": 2, "circuits_per_width": 2,

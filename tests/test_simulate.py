@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from stabilizer_reference import reference_sample
 
 from qbench.circuits import (
-    CX, CZ, SWAP, Circuit, GateKind, H, Measure, PauliLayer, Rz, S, T, X, gate_unitary,
-    inverse_circuit, measure_all,
+    CX, CZ, SWAP, Circuit, GateKind, H, Measure, PauliLayer, Rz, S, Sdg, T, X, Y, Z, gate_unitary,
+    inverse_circuit, inverse_gate, measure_all, pauli_matrix,
 )
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
@@ -13,7 +16,7 @@ from qbench.metrics import hellinger_distance
 from qbench.noise import DriftSchedule, NoiseModel, drift_rate_at
 from qbench.randgen import haar_unitary, random_clifford_circuit
 from qbench.rng import SeedStream
-from qbench.stabilizer import stabilizer_sample
+from qbench.stabilizer import _push_frame, stabilizer_sample
 from qbench.statevector import ideal_distribution, run_statevector, sample_counts
 
 
@@ -211,22 +214,103 @@ class TestStabilizer:
 
 
 def _basis_state_clifford(n: int, depth: int, stream: SeedStream) -> Circuit:
-    """Random circuit over X, S, CX, CZ, SWAP and Pauli layers: every outcome is deterministic."""
+    """Random circuit over X, S, CX, CZ, SWAP, Pauli layers, H.H pairs and H.S.SDG.H runs.
+
+    Every outcome is deterministic, yet an error drawn inside a pair is
+    conjugated by the gates after it, so noisy runs exercise how both backends
+    carry errors through H and SDG. The S.SDG pair sits inside an H.H pair
+    because the Z bit that SDG adds to an X error flips an outcome only after
+    an H.
+    """
     rng = stream.generator()
     gates = []
     for _ in range(depth):
-        kind = int(rng.integers(0, 6))
+        kind = int(rng.integers(0, 8))
+        q = int(rng.integers(0, n))
         if kind == 0:
-            gates.append(X(int(rng.integers(0, n))))
+            gates.append(X(q))
         elif kind == 1:
-            gates.append(S(int(rng.integers(0, n))))
+            gates.append(S(q))
         elif kind == 2:
             letters = "".join(rng.choice(list("IXYZ"), size=n))
             gates.append(PauliLayer(range(n), letters))
+        elif kind == 3:
+            gates += [H(q), H(q)]
+        elif kind == 4:
+            gates += [H(q), S(q), Sdg(q), H(q)]
         else:
             a, b = (int(q) for q in rng.choice(n, size=2, replace=False))
-            gates.append((CX, CZ, SWAP)[kind - 3](a, b))
+            gates.append((CX, CZ, SWAP)[kind - 5](a, b))
     return measure_all(Circuit.from_gates(n, gates))
+
+
+@st.composite
+def _noisy_clifford_case(draw):
+    """(circuit, noise, shots, seed): a random Clifford circuit of 1-8 qubits with a
+    measured subset, and a noise model with or without drift and readout."""
+    n = draw(st.integers(1, 8))
+    qubit = st.integers(0, n - 1)
+    one = st.builds(lambda make, q: make(q), st.sampled_from([H, S, Sdg, X, Y, Z]), qubit)
+    layer = st.lists(qubit, min_size=1, unique=True).flatmap(
+        lambda ts: st.text("IXYZ", min_size=len(ts), max_size=len(ts)).map(lambda w: PauliLayer(ts, w)))
+    kinds = [one, one, layer]
+    if n > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        kinds += [st.builds(lambda make, ab: make(*ab), st.sampled_from([CX, CZ, SWAP]), pair)] * 2
+    gates = draw(st.lists(st.one_of(kinds), min_size=8, max_size=40))
+    if draw(st.booleans()):
+        # A mirror circuit, optionally with a few gates after it: its outcomes are
+        # (nearly) fixed, so a frame bit carried through a gate wrongly shows.
+        gates += [inverse_gate(g) for g in reversed(gates)]
+        gates += draw(st.lists(st.one_of(kinds), max_size=3))
+    measured = draw(st.lists(qubit, min_size=1, unique=True))
+    circuit = Circuit.from_gates(n, gates + [Measure(q, i) for i, q in enumerate(measured)])
+    drift = draw(st.none() | st.builds(
+        lambda cycle, std, seed: DriftSchedule(tuple(cycle), std, SeedStream(seed)),
+        st.lists(st.sampled_from([-0.05, 0.0, 0.05]), min_size=1, max_size=3),
+        st.sampled_from([0.0, 0.02]), st.integers(0, 1000)))
+    noise = NoiseModel.uniform(p1=draw(st.sampled_from([0.05, 0.3, 1.0])),
+                               p2=draw(st.sampled_from([0.0, 0.1, 0.5])),
+                               readout=draw(st.sampled_from([0.0, 0.05])), drift=drift)
+    return circuit, noise, draw(st.integers(16, 64)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestPauliFrameSampler:
+    """The frame sampler gives the per-shot tableau reference's counts exactly."""
+
+    @given(_noisy_clifford_case())
+    @settings(max_examples=300)
+    def test_matches_per_shot_reference(self, case):
+        circuit, noise, shots, seed = case
+        frames = stabilizer_sample(circuit, shots, SeedStream(seed).generator(), noise=noise)
+        assert frames == reference_sample(circuit, shots, SeedStream(seed).generator(), noise=noise)
+
+    @pytest.mark.parametrize("gate", [H(0), S(0), Sdg(0), X(0), Y(0), Z(0), PauliLayer([0, 1], "XZ"),
+                                      CX(0, 1), CX(1, 0), CZ(0, 1), CZ(1, 0), SWAP(0, 1)],
+                             ids=lambda g: f"{g.kind.value}{list(g.targets)}")
+    def test_frame_rules_conjugate_every_pauli(self, gate):
+        # Column j of the frames holds the Pauli with x bits (j, j >> 1) and z bits
+        # (j >> 2, j >> 3) on qubits (0, 1); U P U^dagger must equal the pushed
+        # frame's Pauli up to a phase.
+        j = np.arange(16)
+        fx = np.array([j & 1, j >> 1 & 1], dtype=np.uint8)
+        fz = np.array([j >> 2 & 1, j >> 3 & 1], dtype=np.uint8)
+        before = fx.copy(), fz.copy()
+        _push_frame(fx, fz, gate)
+        letter = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+
+        def matrix(x, z, col):
+            return np.kron(*(pauli_matrix(letter[int(x[q, col]), int(z[q, col])]) for q in (0, 1)))
+
+        u = gate_unitary(gate)
+        if len(gate.targets) == 1:
+            u = np.kron(u, np.eye(2))
+        elif gate.targets == (1, 0):
+            swap = gate_unitary(SWAP(0, 1))
+            u = swap @ u @ swap
+        for col in range(16):
+            conj = u @ matrix(*before, col) @ u.conj().T
+            assert abs(np.trace(matrix(fx, fz, col).conj().T @ conj)) == pytest.approx(4), col
 
 
 class TestSharedNoiseChannel:
