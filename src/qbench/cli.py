@@ -27,9 +27,9 @@ EXIT_SELF_VERIFY = 3
 
 
 @click.group()
-@click.option("--seed", type=int, default=None, help="Master seed override.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Master seed override.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Output path.")
-@click.option("--repetitions", type=int, default=None, help="Suite repetition override.")
+@click.option("--repetitions", type=click.IntRange(min=1), default=None, help="Suite repetition override.")
 @click.pass_context
 def cli(ctx, seed, out, repetitions):
     """Benchmark harness for simulated quantum processors."""
@@ -115,7 +115,7 @@ def report_cmd(ctx, in_path, fmt):
 
 @cli.command()
 @click.option("--report", "report_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--reexecute", type=int, default=0,
+@click.option("--reexecute", type=click.IntRange(min=0), default=0,
               help="Also regenerate this many circuits from seeds and compare counts.")
 def check(report_path, reexecute):
     """Self-verify a report: recompute every aggregate from its raw records."""

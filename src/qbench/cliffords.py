@@ -13,9 +13,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import CX, Gate, H, S, gate_unitary, inverse_gate, pauli_matrix
+from .circuits import CX, Gate, H, S, gate_unitary, inverse_gate
 from .errors import ValidationError
-from .stabilizer import StabilizerTableau
+from .stabilizer import StabilizerTableau, _push_frame, _sign_flips
 
 GROUP_SIZES = {1: 24, 2: 11520}
 
@@ -118,19 +118,14 @@ class CliffordGroup:
             raise ValidationError("pauli conjugation table is for the 1-qubit group")
         table = self._conjugation.get(index)
         if table is None:
-            u = self.unitary(index)
-            table = {}
-            for p in "XYZ":
-                q = u @ pauli_matrix(p) @ u.conj().T
-                for cand in "XYZ":
-                    if np.allclose(q, pauli_matrix(cand), atol=1e-9):
-                        table[p] = (cand, 1)
-                        break
-                    if np.allclose(q, -pauli_matrix(cand), atol=1e-9):
-                        table[p] = (cand, -1)
-                        break
-                else:
-                    raise ValidationError("clifford conjugation did not yield a signed pauli")
+            # One row per Pauli X, Y, Z, pushed through the element's gates.
+            x = np.array([[1, 1, 0]], dtype=np.uint8)
+            z = np.array([[0, 1, 1]], dtype=np.uint8)
+            r = np.zeros(3, dtype=np.uint8)
+            for g in self.elements[index].gates:
+                r ^= _sign_flips(x, z, g)
+                _push_frame(x, z, g)
+            table = {p: ("IZXY"[2 * x[0, i] + z[0, i]], 1 - 2 * int(r[i])) for i, p in enumerate("XYZ")}
             self._conjugation[index] = table
         return table[letter]
 

@@ -79,14 +79,12 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, doc: Mapping, base_dir: Path | None = None) -> "RunConfig":
-        if doc.get("schema") != RUNCFG_SCHEMA:
-            raise ValidationError(f"unexpected run-config schema {doc.get('schema')!r}")
-        for key, kinds, default in (("device", (str, Mapping), None), ("protocols", list, []),
-                                    ("verification", Mapping, {}), ("noise", Mapping, {}),
-                                    ("peak", (Mapping, type(None)), None),
-                                    ("master_seed", int, 0), ("repetitions", int, 1)):
-            if not isinstance(doc.get(key, default), kinds):
-                raise ValidationError(f"run-config {key!r} has the wrong type: {doc.get(key)!r}")
+        _check_shape("run-config", doc, RUNCFG_SCHEMA, (
+            ("device", (str, Mapping), None), ("protocols", list, []),
+            ("verification", Mapping, {}), ("noise", Mapping, {}), ("peak", (Mapping, type(None)), None),
+            ("master_seed", int, 0), ("repetitions", int, 1), ("out", (str, type(None)), None)))
+        if doc.get("repetitions", 1) < 1:
+            raise ValidationError(f"run-config 'repetitions' must be at least 1: {doc['repetitions']}")
         dev = doc["device"]
         if isinstance(dev, str):
             path = Path(dev)
@@ -130,6 +128,18 @@ class RunConfig:
             "repetitions": self.repetitions,
             "out": self.out,
         }
+
+
+def _check_shape(what: str, doc, schema: str, fields) -> None:
+    """ValidationError unless `doc` is a JSON object of `schema` whose (key, types, default)
+    `fields` have the right types."""
+    if not isinstance(doc, Mapping):
+        raise ValidationError(f"{what} is not a JSON object")
+    if doc.get("schema") != schema:
+        raise ValidationError(f"unexpected {what} schema {doc.get('schema')!r}")
+    for key, kinds, default in fields:
+        if not isinstance(doc.get(key, default), kinds):
+            raise ValidationError(f"{what} {key!r} has the wrong type: {doc.get(key)!r}")
 
 
 def _number(section: str, spec: Mapping, key: str, kind: type, default=None):
@@ -279,8 +289,12 @@ class Report:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Report":
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise ValidationError(f"unexpected report schema {doc.get('schema')!r}")
+        _check_shape("report", doc, REPORT_SCHEMA, (
+            ("header", Mapping, {}), ("verification", (Mapping, type(None)), None),
+            ("base", (list, type(None)), None), ("peak", (list, type(None)), None)))
+        for mode in ("base", "peak"):
+            if not all(isinstance(record, Mapping) for record in doc.get(mode) or []):
+                raise ValidationError(f"report {mode!r} holds a record that is not a JSON object")
         return cls(doc)
 
     @classmethod

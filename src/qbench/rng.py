@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class SeedStream:
@@ -18,6 +20,10 @@ class SeedStream:
 
     seed: int
     path: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.seed < 0 or any(i < 0 for i in self.path):
+            raise ValidationError(f"seeds and stream paths must be non-negative: {self.seed}, {self.path}")
 
     def child(self, *indices: int) -> "SeedStream":
         """Derive the substream at `path + indices`."""

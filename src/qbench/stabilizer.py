@@ -1,8 +1,11 @@
 """Stabilizer-tableau simulation for Clifford circuits.
 
 The tableau keeps 2n generator rows (n destabilizers, n stabilizers) as X/Z
-bit matrices plus a sign bit per row, updated with the rules of CHP (Aaronson
-& Gottesman, PRA 70, 052328 (2004)). Sampling does not measure qubit by qubit;
+bit matrices plus a sign bit per row. A gate moves the X/Z bits by the Pauli
+frame rules of `_push_frame` and flips signs by CHP's phase rule in
+`_sign_flips` (Aaronson & Gottesman, PRA 70, 052328 (2004)); these two are
+the only encoding of how a Clifford gate maps Paulis, and the Clifford
+tables' conjugation table is read from them too. Sampling does not measure qubit by qubit;
 instead the computational-basis outcome distribution of a stabilizer state is
 uniform over an affine GF(2) subspace, c0 xor span(basis), which is extracted
 once by Gaussian elimination and then sampled with vectorized bit algebra.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import CLIFFORD_KINDS, Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind
 from .distributions import SampleSet
 from .errors import NonCliffordError, ValidationError
 from .noise import PAULI_BITS, NoiseModel, draw_gate_errors, draw_readout_flips
@@ -57,65 +60,10 @@ class StabilizerTableau:
         """Exact canonical encoding; equal keys iff equal Clifford group elements."""
         return self.x.tobytes() + self.z.tobytes() + self.r.tobytes()
 
-    # -- single-gate conjugation updates --------------------------------------
-
-    def _h(self, a: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()
-
-    def _s(self, a: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.z[:, a] ^= self.x[:, a]
-
-    def _sdg(self, a: int) -> None:
-        self.r ^= self.x[:, a] & (self.z[:, a] ^ 1)
-        self.z[:, a] ^= self.x[:, a]
-
-    def _cx(self, a: int, b: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a] ^ 1)
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
-
-    def _pauli(self, a: int, letter: str) -> None:
-        if letter == "X":
-            self.r ^= self.z[:, a]
-        elif letter == "Z":
-            self.r ^= self.x[:, a]
-        elif letter == "Y":
-            self.r ^= self.x[:, a] ^ self.z[:, a]
-
     def apply_gate(self, gate: Gate) -> None:
-        k = gate.kind
-        if k is GateKind.H:
-            self._h(gate.targets[0])
-        elif k is GateKind.S:
-            self._s(gate.targets[0])
-        elif k is GateKind.SDG:
-            self._sdg(gate.targets[0])
-        elif k in (GateKind.X, GateKind.Y, GateKind.Z):
-            self._pauli(gate.targets[0], k.value.upper())
-        elif k is GateKind.CX:
-            self._cx(*gate.targets)
-        elif k is GateKind.CZ:
-            a, b = gate.targets
-            self._h(b)
-            self._cx(a, b)
-            self._h(b)
-        elif k is GateKind.SWAP:
-            a, b = gate.targets
-            for m in (self.x, self.z):
-                m[:, [a, b]] = m[:, [b, a]]
-        elif k is GateKind.PAULI:
-            for t, letter in zip(gate.targets, gate.paulis):
-                self._pauli(t, letter)
-        elif k in (GateKind.BARRIER, GateKind.MEASURE):
-            pass
-        else:
-            raise NonCliffordError(f"gate {k.value} is not a Clifford tableau operation")
-
-    def apply_circuit(self, circuit: Circuit) -> None:
-        for g in circuit.all_gates():
-            self.apply_gate(g)
+        x, z = self.x.T, self.z.T
+        self.r ^= _sign_flips(x, z, gate)
+        _push_frame(x, z, gate)
 
     # -- measurement-outcome structure ----------------------------------------
 
@@ -235,15 +183,13 @@ def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:
 
 def evolve_tableau(circuit: Circuit) -> StabilizerTableau:
     """The ideal tableau after `circuit`, which must be Clifford and measure only at the end."""
-    for g in circuit.all_gates():
-        if g.kind not in CLIFFORD_KINDS and g.kind not in (GateKind.MEASURE, GateKind.BARRIER):
-            raise NonCliffordError(f"gate {g.kind.value} is not Clifford")
     if circuit.metadata.get("mid_measure"):
         raise NonCliffordError("mid-circuit measurement is not supported by the tableau sampler")
     if circuit.n_qubits > STABILIZER_WIDTH_CAP:
         raise ValidationError(f"width {circuit.n_qubits} exceeds the tableau cap {STABILIZER_WIDTH_CAP}")
     tab = StabilizerTableau(circuit.n_qubits)
-    tab.apply_circuit(circuit)
+    for g in circuit.all_gates():
+        tab.apply_gate(g)
     return tab
 
 
@@ -257,26 +203,61 @@ def deterministic_outcome(circuit: Circuit) -> str | None:
     return "".join(str(int(c0[q])) for q in measured)
 
 
-def _push_frame(fx: np.ndarray, fz: np.ndarray, gate: Gate) -> None:
-    """Conjugate the (qubits, shots) Pauli frame bits through one Clifford gate, signs dropped."""
+def _push_frame(x: np.ndarray, z: np.ndarray, gate: Gate) -> None:
+    """Conjugate Paulis through one Clifford gate, signs dropped (Gidney's frame rules).
+
+    `x[q]` and `z[q]` hold qubit q's X and Z bits across the Paulis (tableau
+    rows or shots); they are updated in place.
+    """
     k, t = gate.kind, gate.targets
     if k is GateKind.H:
         a = t[0]
-        fx[a], fz[a] = fz[a], fx[a].copy()
+        x[a], z[a] = z[a], x[a].copy()
     elif k in (GateKind.S, GateKind.SDG):
-        fz[t[0]] ^= fx[t[0]]
+        z[t[0]] ^= x[t[0]]
     elif k is GateKind.CX:
         a, b = t
-        fx[b] ^= fx[a]
-        fz[a] ^= fz[b]
+        x[b] ^= x[a]
+        z[a] ^= z[b]
     elif k is GateKind.CZ:
         a, b = t
-        fz[a] ^= fx[b]
-        fz[b] ^= fx[a]
+        z[a] ^= x[b]
+        z[b] ^= x[a]
     elif k is GateKind.SWAP:
         swap = [t[1], t[0]]
-        fx[list(t)] = fx[swap]
-        fz[list(t)] = fz[swap]
+        x[list(t)] = x[swap]
+        z[list(t)] = z[swap]
+
+
+def _sign_flips(x: np.ndarray, z: np.ndarray, gate: Gate):
+    """Sign bits that conjugating the Paulis with bits (x, z) through `gate` flips.
+
+    CHP's phase rule, read from the bits before `_push_frame` moves them; x = z = 1
+    on a qubit means Y there. Raises NonCliffordError for a non-Clifford gate.
+    """
+    k, t = gate.kind, gate.targets
+    if k in (GateKind.H, GateKind.S):
+        return x[t[0]] & z[t[0]]
+    if k is GateKind.SDG:
+        return x[t[0]] & (z[t[0]] ^ 1)
+    if k is GateKind.CX:
+        a, b = t
+        return x[a] & z[b] & (x[b] ^ z[a] ^ 1)
+    if k is GateKind.CZ:
+        a, b = t
+        return x[a] & x[b] & (z[a] ^ z[b])
+    if k in (GateKind.X, GateKind.Y, GateKind.Z, GateKind.PAULI):
+        letters = gate.paulis if k is GateKind.PAULI else k.value.upper()
+        flips = 0
+        for q, letter in zip(t, letters):  # a Pauli flips the signs of those it anticommutes with
+            if letter in "XY":
+                flips = flips ^ z[q]
+            if letter in "YZ":
+                flips = flips ^ x[q]
+        return flips
+    if k in (GateKind.SWAP, GateKind.BARRIER, GateKind.MEASURE):
+        return 0
+    raise NonCliffordError(f"gate {k.value} is not Clifford")
 
 
 def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbench.circuits import Circuit, GateKind
+from qbench.circuits import Circuit, GateKind, PauliLayer
 from qbench.distributions import SampleSet
 from qbench.noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
 from qbench.stabilizer import StabilizerTableau, _sample_set, evolve_tableau
@@ -42,8 +42,7 @@ def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
             for gate in gates[done:pos + 1]:
                 tab.apply_gate(gate)
             done = pos + 1
-            for t, letter in zip(qubits, word):
-                tab._pauli(t, letter)
+            tab.apply_gate(PauliLayer(qubits, word))
         for gate in gates[done:]:
             tab.apply_gate(gate)
         bits[shot] = tab.sample_bits(1, rng)[0]

@@ -30,6 +30,12 @@ class TestSeedStream:
         s = SeedStream(3, (4, 5))
         assert SeedStream.from_record(s.as_record()) == s
 
+    @pytest.mark.parametrize("make", [lambda: SeedStream(-1), lambda: SeedStream(3).child(2, -1),
+                                      lambda: SeedStream.from_record({"seed": 3, "path": [-4]})])
+    def test_negative_seed_or_path_rejected(self, make):
+        with pytest.raises(ValidationError, match="non-negative"):
+            make()
+
 
 class TestHaar:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])

@@ -414,6 +414,45 @@ class TestCli:
         assert "peak.passes" in err
         assert "unknown pass" not in err
 
+    @pytest.mark.parametrize("args, key, value, message", [
+        (["--seed", "-1"], None, None, "--seed"),
+        ([], "master_seed", -5, "non-negative"),
+        (["--repetitions", "0"], None, None, "--repetitions"),
+        ([], "repetitions", 0, "at least 1"),
+        ([], "out", 5, "'out'"),
+    ])
+    def test_negative_seed_zero_repetitions_or_bad_out_exit_1(self, tmp_path, monkeypatch, capsys,
+                                                              args, key, value, message):
+        # No --out: a run that went ahead would write report.json into the working directory.
+        monkeypatch.chdir(tmp_path)
+        doc = make_config().to_json()
+        if key is not None:
+            doc[key] = value
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(args + ["run", "--config", str(config_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_negative_reexecute_count_exit_1(self, tmp_path, report, capsys):
+        report_path = tmp_path / "report.json"
+        report.save(report_path)
+        assert main(["check", "--report", str(report_path), "--reexecute", "-1"]) == 1
+        assert "--reexecute" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: [doc],
+        lambda doc: {**doc, "base": 5},
+        lambda doc: {**doc, "base": ["quantum_volume"]},
+        lambda doc: {**doc, "verification": "passed"},
+    ], ids=["top-level-list", "base-number", "record-string", "verification-string"])
+    @pytest.mark.parametrize("command", [["check", "--report"], ["report", "--format", "text", "--in"]])
+    def test_malformed_report_shape_exit_1(self, tmp_path, report, capsys, edit, command):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(edit(report.doc)))
+        assert main(command + [str(report_path)]) == 1
+        assert "report" in capsys.readouterr().err
+
     def test_reexecution_of_another_versions_report_is_unverifiable(self, tmp_path, capsys):
         doc = make_config().to_json()
         doc["protocols"] = [{"name": "quantum_volume", "max_width": 2, "circuits_per_width": 2,

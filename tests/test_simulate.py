@@ -14,9 +14,10 @@ from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
 from qbench.noise import DriftSchedule, NoiseModel, drift_rate_at
+from qbench.cliffords import clifford_group
 from qbench.randgen import haar_unitary, random_clifford_circuit
 from qbench.rng import SeedStream
-from qbench.stabilizer import _push_frame, stabilizer_sample
+from qbench.stabilizer import _push_frame, _sign_flips, stabilizer_sample
 from qbench.statevector import ideal_distribution, run_statevector, sample_counts
 
 
@@ -285,32 +286,58 @@ class TestPauliFrameSampler:
         frames = stabilizer_sample(circuit, shots, SeedStream(seed).generator(), noise=noise)
         assert frames == reference_sample(circuit, shots, SeedStream(seed).generator(), noise=noise)
 
-    @pytest.mark.parametrize("gate", [H(0), S(0), Sdg(0), X(0), Y(0), Z(0), PauliLayer([0, 1], "XZ"),
-                                      CX(0, 1), CX(1, 0), CZ(0, 1), CZ(1, 0), SWAP(0, 1)],
-                             ids=lambda g: f"{g.kind.value}{list(g.targets)}")
+    @pytest.mark.parametrize("gate", [
+        H(0), S(0), Sdg(0), X(0), Y(0), Z(0), H(1), Sdg(1), Y(1),
+        PauliLayer([0, 1], "XZ"), PauliLayer([1, 0], "XY"), PauliLayer([1], "Y"),
+        CX(0, 1), CX(1, 0), CZ(0, 1), CZ(1, 0), SWAP(0, 1)],
+        ids=lambda g: f"{g.kind.value}{list(g.targets)}")
     def test_frame_rules_conjugate_every_pauli(self, gate):
-        # Column j of the frames holds the Pauli with x bits (j, j >> 1) and z bits
-        # (j >> 2, j >> 3) on qubits (0, 1); U P U^dagger must equal the pushed
-        # frame's Pauli up to a phase.
+        # Column j holds the Pauli with x bits (j, j >> 1) and z bits (j >> 2, j >> 3)
+        # on qubits (0, 1), x = z = 1 meaning Y. U P U^dagger must be the pushed
+        # Pauli, with the sign `_sign_flips` gives: the tableau's rule, checked
+        # against dense matrices.
         j = np.arange(16)
         fx = np.array([j & 1, j >> 1 & 1], dtype=np.uint8)
         fz = np.array([j >> 2 & 1, j >> 3 & 1], dtype=np.uint8)
         before = fx.copy(), fz.copy()
+        signs = np.zeros(16, dtype=np.uint8) ^ _sign_flips(fx, fz, gate)
         _push_frame(fx, fz, gate)
         letter = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
         def matrix(x, z, col):
             return np.kron(*(pauli_matrix(letter[int(x[q, col]), int(z[q, col])]) for q in (0, 1)))
 
-        u = gate_unitary(gate)
-        if len(gate.targets) == 1:
-            u = np.kron(u, np.eye(2))
-        elif gate.targets == (1, 0):
-            swap = gate_unitary(SWAP(0, 1))
-            u = swap @ u @ swap
         for col in range(16):
-            conj = u @ matrix(*before, col) @ u.conj().T
-            assert abs(np.trace(matrix(fx, fz, col).conj().T @ conj)) == pytest.approx(4), col
+            conj = _two_qubit_unitary(gate) @ matrix(*before, col) @ _two_qubit_unitary(gate).conj().T
+            np.testing.assert_allclose(conj, (-1) ** int(signs[col]) * matrix(fx, fz, col),
+                                       atol=1e-12, err_msg=str(col))
+
+    def test_sign_rule_rejects_non_clifford_gates(self):
+        x = z = np.zeros((1, 4), dtype=np.uint8)
+        with pytest.raises(NonCliffordError):
+            _sign_flips(x, z, T(0))
+
+    def test_conjugation_table_matches_dense_conjugation(self):
+        group = clifford_group(1)
+        for index in range(len(group)):
+            u = group.unitary(index)
+            for p in "XYZ":
+                image, sign = group.conjugated_pauli(index, p)
+                np.testing.assert_allclose(u @ pauli_matrix(p) @ u.conj().T, sign * pauli_matrix(image),
+                                           atol=1e-12, err_msg=f"{index} {p}")
+
+
+def _two_qubit_unitary(gate):
+    """Dense 4x4 unitary of a gate on qubits (0, 1), qubit 0 the most significant."""
+    u = gate_unitary(gate)
+    if gate.targets == (0,):
+        return np.kron(u, np.eye(2))
+    if gate.targets == (1,):
+        return np.kron(np.eye(2), u)
+    if gate.targets == (1, 0):
+        swap = gate_unitary(SWAP(0, 1))
+        return swap @ u @ swap
+    return u
 
 
 class TestSharedNoiseChannel:
