@@ -241,7 +241,7 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     if gate.kind in ROTATION_KINDS:
         axis = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}[gate.kind]
         half = gate.angle / 2.0
-        return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * _PAULI_1Q[axis]
+        return math.cos(half) * _PAULI_1Q["I"] - 1j * math.sin(half) * _PAULI_1Q[axis]
     if gate.kind is GateKind.U2Q:
         return gate.matrix
     if gate.kind is GateKind.PAULI:

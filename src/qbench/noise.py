@@ -191,6 +191,17 @@ def _clipped(base: float, offsets: np.ndarray | None) -> np.ndarray | float:
     return np.clip(base + offsets, 0.0, 1.0) if offsets is not None else base
 
 
+def _can_fire(rates: np.ndarray | float) -> bool:
+    return bool(np.any(np.asarray(rates) > 0))
+
+
+def gate_can_fire(noise: NoiseModel, gate: Gate, offsets: np.ndarray | None) -> bool:
+    """Whether `draw_gate_errors` draws anything for `gate` under these shot offsets."""
+    if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
+        return False
+    return _can_fire(_clipped(noise.error_for(gate.kind, gate.targets), offsets))
+
+
 def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int,
               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
     """(hit shots, index into `PAULI_LABELS[n_qubits]` per hit), or None if the site cannot fire.
@@ -198,7 +209,7 @@ def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int
     The choice is drawn for every shot, so the layout does not depend on the hits.
     """
     rates = _clipped(rate, offsets)
-    if not np.any(np.asarray(rates) > 0):
+    if not _can_fire(rates):
         return None
     hit = rng.random(batch) < rates
     choice = rng.integers(0, len(PAULI_LABELS[n_qubits]), size=batch)
@@ -230,6 +241,6 @@ def draw_readout_flips(noise: NoiseModel, qubits, offsets: np.ndarray | None, ba
     flips = []
     for q in qubits:
         rates = _clipped(noise.readout_for(q), offsets)
-        if np.any(np.asarray(rates) > 0):
+        if _can_fire(rates):
             flips.append((q, rng.random(batch) < rates))
     return flips

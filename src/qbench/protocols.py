@@ -35,8 +35,8 @@ from .randgen import (
 from .rng import SeedStream
 from .stabilizer import stabilizer_sample
 from .statevector import (
-    DEFAULT_WIDTH_CAP, _apply_paulis, _sample_rows, apply_unitary_batch, ideal_distribution,
-    run_statevector, sample_counts,
+    DEFAULT_WIDTH_CAP, _sample_rows, apply_paulis, apply_unitary, ideal_distribution,
+    run_statevector, sample_counts, zero_state,
 )
 from .transpile import TranspileConfig, run_pipeline
 
@@ -322,14 +322,13 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
             inverse = group.inverse_index(gates)
             unitaries = [group.unitary(i) for i in indices] + [group.unitary(inverse)]
 
-            states = np.zeros((shots, dim), dtype=complex)
-            states[:, 0] = 1.0
+            states = zero_state(shots, n_qubits)
             for u in unitaries:
-                states = states @ u.T
+                states = apply_unitary(states, u, qubits)
                 drawn = draw_site(rate, offsets, shots, n_qubits, rng)
                 if drawn is not None:
-                    states = _apply_paulis(states, qubits, *drawn, n_qubits)
-            outcomes = _sample_rows(np.abs(states) ** 2, rng)
+                    apply_paulis(states, qubits, *drawn)
+            outcomes = _sample_rows(np.abs(states.reshape(shots, dim)) ** 2, rng)
             for q, flips in draw_readout_flips(noise, qubits, offsets, shots, rng):
                 outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
             per_seq.append(float(np.mean(outcomes == 0)))
@@ -532,10 +531,10 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
     sums = np.zeros(len(observables))
     for _ in range(snapshots):
         chosen = [int(i) for i in rng.integers(0, len(group), size=n)]
-        amps = psi[None, :].copy()
+        state = psi.reshape((1,) + (2,) * n)
         for q, idx in enumerate(chosen):
-            amps = apply_unitary_batch(amps, group.unitary(idx), (q,), n)
-        probs = np.abs(amps[0]) ** 2
+            state = apply_unitary(state, group.unitary(idx), (q,))
+        probs = np.abs(state.reshape(-1)) ** 2
         outcome = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
         bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
         for oi, obs in enumerate(observables):

@@ -433,7 +433,13 @@ def render_report(report: Report, fmt: str = "json") -> bytes:
         return (report.canonical() + "\n").encode()
     if fmt != "text":
         raise ValidationError(f"unknown report format {fmt!r}")
-    doc = report.doc
+    try:
+        return _render_text(report.doc)
+    except KeyError as exc:
+        raise ValidationError(f"report cannot be rendered as text: no {exc.args[0]!r} key") from None
+
+
+def _render_text(doc: dict) -> bytes:
     h = doc["header"]
     dev = h["device"]
     lines = []
@@ -454,9 +460,12 @@ def render_report(report: Report, fmt: str = "json") -> bytes:
                  f"coupling norm: {sm['coupling_spectral_norm']:.4g}")
     ver = doc["verification"]
     lines.append(thin)
-    lines.append(f" Device verification (XEB): alpha = {ver['aggregate']['alpha_mean']:.4f} "
-                 f"(threshold {ver['config']['threshold']}) -> "
-                 + ("PASSED" if ver["passed"] else "FAILED"))
+    if ver is None:
+        lines.append(" Device verification (XEB): not recorded")
+    else:
+        lines.append(f" Device verification (XEB): alpha = {ver['aggregate']['alpha_mean']:.4f} "
+                     f"(threshold {ver['config']['threshold']}) -> "
+                     + ("PASSED" if ver["passed"] else "FAILED"))
     for mode in ("base", "peak"):
         records = doc.get(mode)
         if not records:

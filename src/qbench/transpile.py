@@ -7,6 +7,7 @@ randomized equivalence probe on small circuits before its output is trusted.
 """
 from __future__ import annotations
 
+import json
 import math
 import time
 from collections import deque
@@ -391,8 +392,21 @@ def _probe_circuit(n: int, stream: SeedStream) -> Circuit:
     return measure_all(Circuit.from_gates(n, gates))
 
 
+#: probes that passed, keyed by device JSON, pass names, the registered pass
+#: functions and seed; a failed probe is not stored, so it fails on every call
+_PASSED_PROBES: set[tuple] = set()
+
+
 def _probe_equivalence(device: DeviceModel, passes: tuple[str, ...], seed: int) -> None:
-    """Reject pass lists that change small-circuit output distributions."""
+    """Reject pass lists that change small-circuit output distributions.
+
+    A probe that passed is not run again for the same device, passes, pass
+    functions and seed.
+    """
+    key = (json.dumps(device.to_json(), sort_keys=True), passes,
+           tuple(PASS_REGISTRY.get(name) for name in passes), seed)
+    if key in _PASSED_PROBES:
+        return
     comp = device.connected_components()
     width = min(3, len(comp[0]) if comp else 1)
     if width < 1:
@@ -407,6 +421,7 @@ def _probe_equivalence(device: DeviceModel, passes: tuple[str, ...], seed: int) 
         if deviation > _PROBE_TOL:
             raise EquivalenceProbeError(
                 f"pass list {list(passes)} changed probe-circuit output by {deviation:.2e}")
+    _PASSED_PROBES.add(key)
 
 
 def run_pipeline(circuit: Circuit, device: DeviceModel,

@@ -453,6 +453,25 @@ class TestCli:
         assert main(command + [str(report_path)]) == 1
         assert "report" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "header"}, "header"),
+        (lambda doc: {**doc, "base": [{}] + doc["base"]}, "protocol"),
+        (lambda doc: {**doc, "verification": {k: v for k, v in doc["verification"].items()
+                                              if k != "aggregate"}}, "aggregate"),
+    ], ids=["no-header", "empty-base-record", "verification-without-aggregate"])
+    def test_text_report_missing_key_exit_1(self, tmp_path, report, capsys, edit, key):
+        # Report.from_json accepts these shapes; rendering them names the missing key.
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(edit(report.doc)))
+        assert main(["report", "--format", "text", "--in", str(report_path)]) == 1
+        assert repr(key) in capsys.readouterr().err
+
+    def test_text_report_without_verification(self, tmp_path, report, capsys):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps({**report.doc, "verification": None}))
+        assert main(["report", "--format", "text", "--in", str(report_path)]) == 0
+        assert "Device verification (XEB): not recorded" in capsys.readouterr().out
+
     def test_reexecution_of_another_versions_report_is_unverifiable(self, tmp_path, capsys):
         doc = make_config().to_json()
         doc["protocols"] = [{"name": "quantum_volume", "max_width": 2, "circuits_per_width": 2,

@@ -5,20 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from stabilizer_reference import reference_sample
+from statevector_reference import reference_amplitudes, reference_sample_counts
 
+from qbench import statevector
 from qbench.circuits import (
-    CX, CZ, SWAP, Circuit, GateKind, H, Measure, PauliLayer, Rz, S, Sdg, T, X, Y, Z, gate_unitary,
-    inverse_circuit, inverse_gate, measure_all, pauli_matrix,
+    CX, CZ, SWAP, TWO_QUBIT_KINDS, U2Q, Barrier, Circuit, GateKind, H, Measure, PauliLayer, Rx, Ry, Rz, S, Sdg, T,
+    Tdg, X, Y, Z, gate_unitary, inverse_circuit, inverse_gate, measure_all, pauli_matrix,
 )
+from qbench.device import DeviceModel
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
 from qbench.noise import DriftSchedule, NoiseModel, drift_rate_at
 from qbench.cliffords import clifford_group
-from qbench.randgen import haar_unitary, random_clifford_circuit
+from qbench.randgen import haar_unitary, layered_model_circuit, random_clifford_circuit
 from qbench.rng import SeedStream
 from qbench.stabilizer import _push_frame, _sign_flips, stabilizer_sample
-from qbench.statevector import ideal_distribution, run_statevector, sample_counts
+from qbench.statevector import _plan, apply_unitary, ideal_distribution, run_statevector, sample_counts
+from qbench.transpile import TranspileConfig, run_pipeline
 
 
 class TestIdealDistribution:
@@ -179,6 +183,159 @@ class TestDrift:
         a = sample_counts(c, 300, noise, SeedStream(4).generator())
         b = sample_counts(c, 300, noise, SeedStream(4).generator())
         assert a == b
+
+
+def _dense_operator(unitary: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """`unitary` on `targets` of n qubits as a 2**n matrix, summed from Kronecker products
+    of |i><j| on the targets and identities elsewhere."""
+    k = len(targets)
+    full = np.zeros((1 << n, 1 << n), dtype=complex)
+    for i in range(1 << k):
+        for j in range(1 << k):
+            factors = [np.eye(2)] * n
+            for m, t in enumerate(targets):
+                factors[t] = np.zeros((2, 2))
+                factors[t][(i >> (k - 1 - m)) & 1, (j >> (k - 1 - m)) & 1] = 1.0
+            term = np.eye(1)
+            for f in factors:
+                term = np.kron(term, f)
+            full += unitary[i, j] * term
+    return full
+
+
+@st.composite
+def _kernel_case(draw):
+    """(state tensor, unitary, targets): 1-3 distinct targets in any order on 1-6 qubits."""
+    n = draw(st.integers(1, 6))
+    targets = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = draw(st.integers(1, 3))
+    state = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+    unitary = haar_unitary(1 << len(targets), rng)
+    return state.reshape((batch,) + (2,) * n), unitary, targets
+
+
+_ONE_QUBIT = (H, X, Y, Z, S, Sdg, T, Tdg)
+_ROTATIONS = (Rx, Ry, Rz)
+
+
+@st.composite
+def _any_circuit(draw):
+    """A random circuit on 1-5 qubits over every gate kind, measured on a random subset.
+
+    Two-qubit gates come in either target order, U2Q included, and pairs repeat
+    often enough that successive 2q gates on one pair get fused.
+    """
+    n = draw(st.integers(1, 5))
+    qubit = st.integers(0, n - 1)
+    subset = st.lists(qubit, min_size=1, unique=True)
+    kinds = [
+        st.builds(lambda make, q: make(q), st.sampled_from(_ONE_QUBIT), qubit),
+        st.builds(lambda make, q, a: make(q, a), st.sampled_from(_ROTATIONS), qubit,
+                  st.floats(-2 * math.pi, 2 * math.pi)),
+        subset.flatmap(lambda ts: st.builds(
+            lambda word, sign: PauliLayer(ts, word, sign),
+            st.text("IXYZ", min_size=len(ts), max_size=len(ts)), st.sampled_from([1, -1]))),
+        subset.map(lambda ts: Barrier(*ts)),
+    ]
+    if n > 1:
+        pair = st.lists(st.integers(0, min(n, 3) - 1), min_size=2, max_size=2, unique=True)
+        kinds += [
+            st.builds(lambda make, ab: make(*ab), st.sampled_from([CX, CZ, SWAP]), pair),
+            st.builds(lambda ab, seed: U2Q(*ab, haar_unitary(4, np.random.default_rng(seed))),
+                      pair, st.integers(0, 2**32 - 1)),
+        ] * 2
+    gates = draw(st.lists(st.one_of(kinds), min_size=4, max_size=30))
+    measured = draw(st.lists(qubit, unique=True))
+    return Circuit.from_gates(n, gates + [Measure(q, i) for i, q in enumerate(measured)])
+
+
+@st.composite
+def _any_noise(draw):
+    """A noise model with per-kind rates, drift that can lift a zero rate, and readout."""
+    drift = draw(st.none() | st.builds(
+        lambda cycle, std, seed: DriftSchedule(tuple(cycle), std, SeedStream(seed)),
+        st.lists(st.sampled_from([-0.05, 0.0, 0.05]), min_size=1, max_size=3),
+        st.sampled_from([0.0, 0.02]), st.integers(0, 1000)))
+    rate = st.sampled_from([0.0, 0.2])
+    one_qubit = [k for k in GateKind if k not in TWO_QUBIT_KINDS | {GateKind.MEASURE, GateKind.BARRIER}]
+    # Per-kind 2q rates make a noisy gate follow a noiseless one on the same pair.
+    gate_error = {**draw(st.dictionaries(st.sampled_from(one_qubit), rate, max_size=3)),
+                  **draw(st.dictionaries(st.sampled_from(sorted(TWO_QUBIT_KINDS)), rate, max_size=2))}
+    return NoiseModel(
+        gate_error=gate_error,
+        readout_error=(draw(st.sampled_from([0.0, 0.05])),),
+        default_1q=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        default_2q=draw(st.sampled_from([0.0, 0.1])), drift=drift)
+
+
+class TestExecutionPlan:
+    """The fused plan against the gate-by-gate reference of tests/statevector_reference.py."""
+
+    @given(_kernel_case())
+    @settings(max_examples=200)
+    def test_kernel_matches_dense_kron(self, case):
+        state, unitary, targets = case
+        n, batch = state.ndim - 1, state.shape[0]
+        out = apply_unitary(state, unitary, targets).reshape(batch, -1)
+        expected = state.reshape(batch, -1) @ _dense_operator(unitary, targets, n).T
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @given(_any_circuit())
+    @settings(max_examples=300)
+    def test_fused_amplitudes_match_reference(self, circuit):
+        np.testing.assert_allclose(run_statevector(circuit).amps, reference_amplitudes(circuit),
+                                   atol=1e-12)
+
+    @given(_any_circuit(), _any_noise(), st.integers(1, 40), st.sampled_from([1, 3, 1 << 16]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_noisy_samples_match_reference(self, circuit, noise, shots, chunk_rows, seed):
+        # chunk_rows << n amplitudes make chunks of chunk_rows trajectories.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statevector, "_CHUNK_AMPS", chunk_rows << circuit.n_qubits)
+            fused = sample_counts(circuit, shots, noise, SeedStream(seed).generator())
+            reference = reference_sample_counts(circuit, shots, noise, SeedStream(seed).generator())
+        assert fused == reference
+
+    def test_drift_makes_zero_rate_gates_block_fusion(self):
+        c = measure_all(Circuit.from_gates(2, [Rz(0, 0.3), H(1), CX(0, 1), Rx(1, 0.2), CX(0, 1)]))
+        assert [gate for _, _, gate in _plan(c, NoiseModel.uniform(), None)] == [None]
+        drift = NoiseModel.uniform(drift=DriftSchedule((0.0, 0.05)))
+        fired = [gate.kind for _, _, gate in _plan(c, drift, drift.shot_offsets(2))]
+        assert fired == [GateKind.RZ, GateKind.H, GateKind.CX, GateKind.RX, GateKind.CX]
+        # A drift that never lifts a rate above 0 draws nothing, so nothing blocks fusion.
+        flat = NoiseModel.uniform(drift=DriftSchedule((0.0, -0.05)))
+        assert len(_plan(c, flat, flat.shot_offsets(2))) == 1
+
+    def test_noisy_gate_after_noiseless_pair_starts_its_own_op(self):
+        # Merging the noisy CX into the open CZ op would draw its errors too early.
+        c = measure_all(Circuit.from_gates(3, [CZ(0, 1), H(0), X(2), CX(1, 0), CZ(0, 1)]))
+        noise = NoiseModel(gate_error={GateKind.CX: 0.3, GateKind.X: 0.3})
+        plan = _plan(c, noise, None)
+        assert [(targets, gate and gate.kind) for targets, _, gate in plan] == [
+            ((0, 1), None), ((2,), GateKind.X), ((1, 0), GateKind.CX), ((0, 1), None)]
+        assert sample_counts(c, 200, noise, SeedStream(70).generator()) \
+            == reference_sample_counts(c, 200, noise, SeedStream(70).generator())
+
+    def test_noisy_pauli_layer_closes_every_target(self):
+        # Each target of a noisy layer is a site: its letters are applied before the
+        # draws, and the next CX on the pair does not fuse back over them.
+        c = Circuit.from_gates(3, [CX(0, 2), PauliLayer([0, 2], "XI"), CX(0, 2)])
+        assert [(targets, gate) for targets, _, gate in _plan(c, NoiseModel.uniform(), None)] \
+            == [((0, 2), None)]
+        plan = _plan(c, NoiseModel.uniform(p1=0.1), None)
+        assert [(targets, gate is not None) for targets, _, gate in plan] == [
+            ((0, 2), False), ((0,), False), ((2,), True), ((0, 2), False)]
+        np.testing.assert_array_equal(plan[1][1], pauli_matrix("X"))
+
+    def test_lowered_collision_circuit_fuses_to_one_op_per_u2q(self):
+        # Item 0 of the 14-qubit collision benchmark at seed 2026: ~1900 lowered gates.
+        n = 14
+        source = layered_model_circuit(n, n, SeedStream(2026, (0,)).child(0))
+        lowered, _ = run_pipeline(measure_all(source), DeviceModel.complete(n), TranspileConfig())
+        u2q = sum(g.kind is GateKind.U2Q for g in source.all_gates())
+        assert len(_plan(lowered, None, None)) <= u2q + n
 
 
 class TestStabilizer:

@@ -11,6 +11,7 @@ from qbench.kak import (
 )
 from qbench.randgen import haar_unitary, qv_model_circuit, random_clifford_circuit
 from qbench.rng import SeedStream
+from qbench import transpile
 from qbench.statevector import ideal_distribution, run_statevector
 from qbench.transpile import (
     PASS_REGISTRY, TranspileConfig, cancel_inverse_gates, decompose_to_native,
@@ -249,6 +250,47 @@ class TestPipeline:
                 run_pipeline(c, dev, cfg)
         finally:
             PASS_REGISTRY.pop("drop_last_gate", None)
+
+    def test_probe_runs_once_per_device_passes_functions_and_seed(self, monkeypatch):
+        probes = []
+        real = transpile.ideal_distribution
+
+        def counted(circuit, *args, **kwargs):
+            probes.append(circuit)
+            return real(circuit, *args, **kwargs)
+
+        monkeypatch.setattr(transpile, "ideal_distribution", counted)
+        monkeypatch.setattr(transpile, "_PASSED_PROBES", set())
+        monkeypatch.setitem(PASS_REGISTRY, "cancel_again", PASS_REGISTRY["cancel_inverses"])
+        c = measure_all(Circuit.from_gates(3, [H(0), CX(0, 1)]))
+        passes = ("route", "decompose", "cancel_again", "validate")
+        linear3 = DeviceModel.linear(3, native_gates=RXCX)
+
+        def probed(device, seed=0):
+            before = len(probes)
+            run_pipeline(c, device, TranspileConfig(mode="peak", passes=passes, seed=seed))
+            return len(probes) - before
+
+        assert probed(linear3) == 8  # four probe circuits, before and after the passes
+        assert probed(linear3) == 0
+        assert probed(linear3, seed=1) == 8
+        assert probed(DeviceModel.linear(3, native_gates=RYCZ)) == 8
+        # Another function under a probed name is probed again.
+        monkeypatch.setitem(PASS_REGISTRY, "cancel_again", lambda circuit, device, entry: circuit)
+        assert probed(linear3) == 8
+        assert probed(linear3) == 0
+
+    def test_failed_probe_fails_on_every_call(self, monkeypatch):
+        monkeypatch.setattr(transpile, "_PASSED_PROBES", set())
+        monkeypatch.setitem(PASS_REGISTRY, "drop_all", lambda circuit, device, entry: measure_all(
+            Circuit(circuit.n_qubits, ())))
+        dev = DeviceModel.linear(3, native_gates=RXCX)
+        cfg = TranspileConfig(mode="peak", passes=("route", "decompose", "drop_all", "validate"))
+        c = measure_all(Circuit.from_gates(3, [H(0), CX(0, 1)]))
+        for _ in range(2):
+            with pytest.raises(EquivalenceProbeError):
+                run_pipeline(c, dev, cfg)
+        assert not transpile._PASSED_PROBES
 
     def test_unknown_pass_rejected(self):
         dev = DeviceModel.linear(2, native_gates=RXCX)
