@@ -5,6 +5,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 
@@ -96,9 +97,13 @@ class DeviceModel:
     def working_edges(self) -> tuple[tuple[int, int, float], ...]:
         return tuple((i, j, s) for i, j, s in self.edges if self.working[i] and self.working[j])
 
+    @cached_property
+    def coupled_pairs(self) -> frozenset[tuple[int, int]]:
+        """(i, j), i < j, of every working coupling; built once per device."""
+        return frozenset((i, j) for i, j, _ in self.working_edges())
+
     def coupled(self, a: int, b: int) -> bool:
-        e = (min(a, b), max(a, b))
-        return any((i, j) == e for i, j, _ in self.working_edges())
+        return (min(a, b), max(a, b)) in self.coupled_pairs
 
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {q: [] for q in range(self.n_qubits) if self.working[q]}

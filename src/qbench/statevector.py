@@ -4,7 +4,9 @@ Shots are simulated as a batch: the state is a (batch,) + (2,)*n tensor, one
 row per trajectory with qubit q on axis 1 + q, and noise draws select the rows
 that receive a Pauli injection. With no noise model the sampler collapses to a
 single-state evolution plus a multinomial draw, which is distribution-identical
-and much faster.
+and much faster. A noisy call whose circuit has no gate that can fire also
+evolves one state, and picks each shot's outcome from it with the draws a
+batch of identical trajectories would make.
 
 Each call compiles its circuit once into an execution plan, a list of
 (targets, fused unitary, gate whose errors are drawn after it or None), and
@@ -274,32 +276,36 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
         return SampleSet(n_bits, {format(int(i), f"0{n_bits}b"): int(counts[i]) for i in idx})
 
     offsets_all = noise.shot_offsets(shots)
-
+    plan = _plan(circuit, noise, offsets_all)
     gate_noise_free = noise.default_1q == 0 and noise.default_2q == 0 \
         and not any(noise.gate_error.values()) and not any(noise.edge_error.values()) \
         and (offsets_all is None or not np.any(offsets_all > 0))
-    if gate_noise_free:
-        # Only readout errors act; sample the exact state once and flip bits.
-        state = run_statevector(circuit, cap=cap)
-        cum = np.cumsum(np.abs(state.amps) ** 2)
-        samples = np.searchsorted(cum / cum[-1], rng.random(shots)).astype(np.int64)
-        samples = _readout_flips(samples, circuit, noise, offsets_all, rng)
-        samples = _extract_measured_indices(samples, circuit)
-        return SampleSet.from_indices(samples, n_bits)
-    plan = _plan(circuit, noise, offsets_all)
-    chunk = max(1, _CHUNK_AMPS >> n)
+    # Readout-only noise draws every shot's outcome in one go, then flips bits.
+    chunk = shots if gate_noise_free else max(1, _CHUNK_AMPS >> n)
+    cum = None
+    if all(gate is None for _, _, gate in plan):
+        # No op draws errors, so every trajectory is the same state: evolve it
+        # once. Searching its cumulative sum picks what `_sample_rows` picks.
+        state = zero_state(1, n)
+        for targets, unitary, _ in plan:
+            state = apply_unitary(state, unitary, targets)
+        cum = np.cumsum(np.abs(state.reshape(-1)) ** 2)
+        cum /= cum[-1]
     result: SampleSet | None = None
     start = 0
     while start < shots:
         size = min(chunk, shots - start)
         offsets = offsets_all[start:start + size] if offsets_all is not None else None
-        state = zero_state(size, n)
-        for targets, unitary, gate in plan:
-            state = apply_unitary(state, unitary, targets)
-            if gate is not None:
-                for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, size, rng):
-                    apply_paulis(state, qubits, rows, choices)
-        samples = _sample_rows(np.abs(state.reshape(size, -1)) ** 2, rng)
+        if cum is not None:
+            samples = np.searchsorted(cum, rng.random(size)).astype(np.int64)
+        else:
+            state = zero_state(size, n)
+            for targets, unitary, gate in plan:
+                state = apply_unitary(state, unitary, targets)
+                if gate is not None:
+                    for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, size, rng):
+                        apply_paulis(state, qubits, rows, choices)
+            samples = _sample_rows(np.abs(state.reshape(size, -1)) ** 2, rng)
         samples = _readout_flips(samples, circuit, noise, offsets, rng)
         samples = _extract_measured_indices(samples, circuit)
         part = SampleSet.from_indices(samples, n_bits)

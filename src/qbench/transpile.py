@@ -127,7 +127,6 @@ def route_swaps(circuit: Circuit, device: DeviceModel) -> Circuit:
     component = comps[0]
     phys_of = {l: component[l] for l in range(circuit.n_qubits)}
     logical_at = {p: l for l, p in phys_of.items()}
-    coupled = {(min(i, j), max(i, j)) for i, j, _ in device.working_edges()}
 
     out: list[Gate] = []
     swaps = 0
@@ -135,7 +134,7 @@ def route_swaps(circuit: Circuit, device: DeviceModel) -> Circuit:
         if gate.kind in TWO_QUBIT_KINDS:
             a, b = gate.targets
             pa, pb = phys_of[a], phys_of[b]
-            if (min(pa, pb), max(pa, pb)) not in coupled:
+            if not device.coupled(pa, pb):
                 path = _bfs_path(adj, pa, pb)
                 for k in range(len(path) - 2):
                     p, q = path[k], path[k + 1]
@@ -188,37 +187,51 @@ def _entangler(device: DeviceModel) -> GateKind | None:
 _ANGLE_EPS = 1e-12
 
 
-def _emit_1q(q: int, matrix: np.ndarray, family: str, out: list[Gate]) -> None:
-    alpha, beta, gamma, _ = euler_zyz(matrix)
-    if family == "zyz":
-        seq = [(Rz, gamma), (Ry, beta), (Rz, alpha)]
-    else:
-        seq = [(Rz, gamma - math.pi / 2), (Rx, beta), (Rz, alpha + math.pi / 2)]
-    for ctor, angle in seq:
-        if abs(math.sin(angle / 2.0)) > _ANGLE_EPS:
-            out.append(ctor(q, angle))
+def _emit_1q(q: int, matrix: np.ndarray, out: list) -> None:
+    """Queue a 1q unitary on `q`; `_expand_1q` lowers every queued one at once."""
+    out.append((q, matrix))
 
 
-def _emit_cx(a: int, b: int, ent: GateKind | None, family: str, device: DeviceModel,
-             out: list[Gate]) -> None:
+def _expand_1q(out: list, family: str) -> list[Gate]:
+    """`out` with each queued (qubit, 2x2) replaced by its Euler rotations, all
+    angles from one `euler_zyz` call."""
+    euler = euler_zyz([item[1] for item in out if not isinstance(item, Gate)])
+    angles = zip(*(x.tolist() for x in euler[:3]))
+    gates: list[Gate] = []
+    for item in out:
+        if isinstance(item, Gate):
+            gates.append(item)
+            continue
+        q = item[0]
+        alpha, beta, gamma = next(angles)
+        if family == "zyz":
+            seq = [(Rz, gamma), (Ry, beta), (Rz, alpha)]
+        else:
+            seq = [(Rz, gamma - math.pi / 2), (Rx, beta), (Rz, alpha + math.pi / 2)]
+        for ctor, angle in seq:
+            if abs(math.sin(angle / 2.0)) > _ANGLE_EPS:
+                gates.append(ctor(q, angle))
+    return gates
+
+
+def _emit_cx(a: int, b: int, ent: GateKind | None, device: DeviceModel, out: list) -> None:
     if ent is None:
         raise TranspileError("native set lacks an entangling gate (need cx or cz)")
     if ent is GateKind.CX:
         out.append(CX(a, b))
         return
     # CX = (I x H) CZ (I x H)
-    _emit_named_1q(b, GateKind.H, family, device, out)
+    _emit_named_1q(b, GateKind.H, device, out)
     out.append(CZ(a, b))
-    _emit_named_1q(b, GateKind.H, family, device, out)
+    _emit_named_1q(b, GateKind.H, device, out)
 
 
-def _emit_named_1q(q: int, kind: GateKind, family: str, device: DeviceModel,
-                   out: list[Gate], angle: float | None = None) -> None:
-    gate = Gate(kind, (q,), angle=angle)
+def _emit_named_1q(q: int, kind: GateKind, device: DeviceModel, out: list) -> None:
+    gate = Gate(kind, (q,))
     if kind in device.native_gates:
         out.append(gate)
         return
-    _emit_1q(q, gate_unitary(gate), family, out)
+    _emit_1q(q, gate_unitary(gate), out)
 
 
 def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
@@ -226,50 +239,55 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
 
     Arbitrary 2q unitaries go through the Cartan path (exactly three native
     entangling gates plus 1q rotations); non-native named gates are rewritten
-    with classic identities or Euler angles. Global phases are dropped.
+    with classic identities or Euler angles. Global phases are dropped. One
+    `synthesize_two_qubit` call covers every U2Q of the circuit, and one
+    `euler_zyz` call every 1q unitary the lowering emits.
     """
     family = _rotation_family(device)
     ent = _entangler(device)
-    out: list[Gate] = []
-    for gate in circuit.all_gates():
+    gates = list(circuit.all_gates())
+    seq = synthesize_two_qubit([g.matrix for g in gates if g.kind is GateKind.U2Q])
+    n_u2q = 0
+    out: list = []
+    for gate in gates:
         kind = gate.kind
         if kind in (GateKind.MEASURE, GateKind.BARRIER):
             out.append(gate)
         elif kind is GateKind.PAULI:
             for t, letter in zip(gate.targets, gate.paulis):
                 if letter != "I":
-                    _emit_named_1q(t, GateKind(letter.lower()), family, device, out)
+                    _emit_named_1q(t, GateKind(letter.lower()), device, out)
         elif kind is GateKind.U2Q:
-            seq = synthesize_two_qubit(gate.matrix)
             for op in seq.ops:
                 if op[0] == "cx":
-                    _emit_cx(gate.targets[op[1]], gate.targets[op[2]], ent, family, device, out)
+                    _emit_cx(gate.targets[op[1]], gate.targets[op[2]], ent, device, out)
                 else:
                     _, local_q, u2 = op
-                    _emit_1q(gate.targets[local_q], u2, family, out)
+                    _emit_1q(gate.targets[local_q], u2[n_u2q], out)
+            n_u2q += 1
         elif kind in device.native_gates:
             out.append(gate)
         elif kind is GateKind.SWAP:
             a, b = gate.targets
-            _emit_cx(a, b, ent, family, device, out)
-            _emit_cx(b, a, ent, family, device, out)
-            _emit_cx(a, b, ent, family, device, out)
+            _emit_cx(a, b, ent, device, out)
+            _emit_cx(b, a, ent, device, out)
+            _emit_cx(a, b, ent, device, out)
         elif kind is GateKind.CX:
-            _emit_cx(*gate.targets, ent, family, device, out)
+            _emit_cx(*gate.targets, ent, device, out)
         elif kind is GateKind.CZ:
             # CZ = (I x H) CX (I x H)
             a, b = gate.targets
-            _emit_named_1q(b, GateKind.H, family, device, out)
-            _emit_cx(a, b, ent, family, device, out)
-            _emit_named_1q(b, GateKind.H, family, device, out)
+            _emit_named_1q(b, GateKind.H, device, out)
+            _emit_cx(a, b, ent, device, out)
+            _emit_named_1q(b, GateKind.H, device, out)
         elif kind in ROTATION_KINDS or kind in (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
                                                 GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG):
-            _emit_1q(gate.targets[0], gate_unitary(gate), family, out)
+            _emit_1q(gate.targets[0], gate_unitary(gate), out)
         else:
             raise TranspileError(f"cannot lower gate {kind.value}")
     md = dict(circuit.metadata)
     md["native"] = True
-    return Circuit.from_gates(circuit.n_qubits, out, metadata=md)
+    return Circuit.from_gates(circuit.n_qubits, _expand_1q(out, family), metadata=md)
 
 
 # -- optimization passes ---------------------------------------------------------

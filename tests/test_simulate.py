@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -328,6 +329,30 @@ class TestExecutionPlan:
         assert [(targets, gate is not None) for targets, _, gate in plan] == [
             ((0, 2), False), ((0,), False), ((2,), True), ((0, 2), False)]
         np.testing.assert_array_equal(plan[1][1], pauli_matrix("X"))
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.uniform(p2=0.2, readout=0.05),
+        NoiseModel.uniform(readout=0.05, drift=DriftSchedule((0.0, -0.05))),
+        NoiseModel(gate_error={GateKind.CX: 0.3}, readout_error=(0.05,),
+                   drift=DriftSchedule((0.0, -0.02))),
+    ], ids=["2q_rate_no_2q_gate", "readout_under_flat_drift", "cx_rate_under_flat_drift"])
+    def test_call_without_draws_matches_reference(self, noise, monkeypatch):
+        # No gate of the circuit can fire, so the plan carries no draws and one
+        # state serves every chunk of 3 trajectories.
+        c = measure_all(Circuit.from_gates(4, [H(0), Rz(0, 0.4), H(1), Ry(2, 1.1), Rx(3, 0.3)]))
+        assert all(gate is None for _, _, gate in _plan(c, noise, noise.shot_offsets(50)))
+        monkeypatch.setattr(statevector, "_CHUNK_AMPS", 3 << c.n_qubits)
+        assert sample_counts(c, 50, noise, SeedStream(72).generator()) \
+            == reference_sample_counts(c, 50, noise, SeedStream(72).generator())
+
+    def test_call_without_draws_evolves_one_state(self):
+        # 14 qubits, 2000 shots: 8 chunks of 256 trajectories if each were evolved.
+        c = measure_all(Circuit.from_gates(14, [H(q) for q in range(14)]))
+        start = time.perf_counter()
+        counts = sample_counts(c, 2000, NoiseModel.uniform(p2=0.01, readout=0.01),
+                               SeedStream(73).generator())
+        assert time.perf_counter() - start < 1.0
+        assert counts.shots == 2000
 
     def test_lowered_collision_circuit_fuses_to_one_op_per_u2q(self):
         # Item 0 of the 14-qubit collision benchmark at seed 2026: ~1900 lowered gates.

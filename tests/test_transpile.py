@@ -4,6 +4,7 @@ import pytest
 from qbench.circuits import (
     CX, CZ, Circuit, GateKind, H, Rz, SWAP, U2Q, gate_unitary, inverse_circuit, measure_all,
 )
+from qbench import kak
 from qbench.device import DeviceModel, validate_against_device
 from qbench.errors import EquivalenceProbeError, TranspileError
 from qbench.kak import (
@@ -37,6 +38,17 @@ def _near(corner: np.ndarray, eps: float, seed: int) -> np.ndarray:
     return left @ corner @ right @ kick
 
 
+#: canonical(a, b, c) gives W the eigenphases 2(a - b + c), 2(a + b - c),
+#: -2(a + b + c) and 2(-a + b + c), and two of them, p and q, merge in
+#: Re W + t Im W when p + q = 2 atan(t) mod 2 pi. So 2a = atan(t1) merges a pair
+#: at the first weight, and -2b = atan(t2) another at the second; dressed with
+#: local gates, these inputs need the second and the third weight.
+_T1, _T2 = kak._WEIGHTS[:2]
+_LATE_WEIGHTS = {
+    "second_weight": _near(canonical_matrix(np.arctan(_T1) / 2, 0.3, 0.1), 0.0, 90),
+    "third_weight": _near(canonical_matrix(np.arctan(_T1) / 2, -np.arctan(_T2) / 2, 0.1), 0.0, 91),
+}
+
 _SYNTHESIS_INPUTS = [
     pytest.param(np.eye(4, dtype=complex), id="identity"),
     pytest.param(gate_unitary(CX(0, 1)), id="cx"),
@@ -51,7 +63,18 @@ _SYNTHESIS_INPUTS = [
     *(pytest.param(m, id=name) for name, m in _CORNERS.items()),
     *(pytest.param(_near(m, eps, 67 + k), id=f"{name}_near{eps:g}")
       for eps in (1e-9, 1e-7) for k, (name, m) in enumerate(_CORNERS.items())),
+    *(pytest.param(m, id=name) for name, m in _LATE_WEIGHTS.items()),
 ]
+
+
+def _assert_three_cx_synthesis(seq: TwoQubitSequence, u: np.ndarray) -> None:
+    """Exactly three CX, and every sequence of the stack equals its input up to phase to 1e-9."""
+    u = np.asarray(u, dtype=complex).reshape(-1, 4, 4)
+    assert sum(1 for op in seq.ops if op[0] == "cx") == 3
+    m = sequence_matrix(seq)
+    inner = np.einsum("nij,nij->n", m.conj(), u)
+    phase = (inner / np.abs(inner))[:, None, None]
+    assert np.max(np.abs(phase * m - u)) < 1e-9
 
 
 class TestKak:
@@ -66,21 +89,52 @@ class TestKak:
         rng = SeedStream(61).generator()
         for _ in range(100):
             u = haar_unitary(4, rng)
-            seq = synthesize_two_qubit(u)
-            assert sum(1 for op in seq.ops if op[0] == "cx") == 3
-            m = sequence_matrix(seq)
-            inner = np.trace(m.conj().T @ u)
-            phase = inner / abs(inner)
-            assert np.max(np.abs(phase * m - u)) < 1e-9
+            _assert_three_cx_synthesis(synthesize_two_qubit(u), u)
 
     @pytest.mark.parametrize("u", _SYNTHESIS_INPUTS)
     def test_synthesis_of_clifford_specials(self, u):
-        seq = synthesize_two_qubit(u)
+        _assert_three_cx_synthesis(synthesize_two_qubit(u), u)
+
+    def test_late_weight_inputs_fail_the_earlier_weights(self, monkeypatch):
+        for k, m in enumerate(_LATE_WEIGHTS.values()):
+            monkeypatch.setattr(kak, "_WEIGHTS", kak._WEIGHTS[:k + 1])
+            with pytest.raises(TranspileError, match="diagonalize"):
+                synthesize_two_qubit(m)
+
+    def test_stack_equals_per_matrix_calls(self):
+        # Haar inputs with every special interleaved, so the later-weight
+        # retries run on entries in the middle of the stack.
+        rng = SeedStream(93).generator()
+        specials = [np.asarray(p.values[0], dtype=complex) for p in _SYNTHESIS_INPUTS]
+        stack = np.array([m for special in specials for m in (haar_unitary(4, rng), special)])
+        seq = synthesize_two_qubit(stack)
+        _assert_three_cx_synthesis(seq, stack)
+        for k, u in enumerate(stack):
+            single = synthesize_two_qubit(u)
+            for one, many in zip(single.ops, seq.ops, strict=True):
+                assert one[:2] == many[:2]
+                if one[0] == "cx":
+                    assert one == many
+                else:
+                    np.testing.assert_allclose(one[2][0], many[2][k], rtol=0, atol=1e-12)
+            assert abs(single.phase[0] - seq.phase[k]) < 1e-12
+
+    def test_empty_stack(self):
+        seq = synthesize_two_qubit(np.zeros((0, 4, 4)))
         assert sum(1 for op in seq.ops if op[0] == "cx") == 3
-        m = sequence_matrix(seq)
-        inner = np.trace(m.conj().T @ u)
-        phase = inner / abs(inner)
-        assert np.max(np.abs(phase * m - u)) < 1e-9
+        assert all(op[2].shape == (0, 2, 2) for op in seq.ops if op[0] == "u")
+        assert seq.phase.shape == (0,)
+
+    def test_one_bad_entry_fails_the_stack(self):
+        rng = SeedStream(94).generator()
+        stack = np.array([haar_unitary(4, rng) for _ in range(5)])
+        stack[2] = stack[2] @ np.diag([1, 1, 1, 1.5])
+        with pytest.raises(TranspileError):
+            synthesize_two_qubit(stack)
+        local = np.array([np.kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(3)])
+        local[1] = gate_unitary(CX(0, 1))
+        with pytest.raises(TranspileError, match="tensor product"):
+            kak._split_local(local)
 
     def test_sequence_cx_carries_its_control(self):
         m = sequence_matrix(TwoQubitSequence([("cx", 1, 0)], 1.0))
@@ -183,6 +237,34 @@ class TestDecompose:
         assert validate_against_device(out, dev) == []
         assert np.max(np.abs(ideal_distribution(c).probs
                              - ideal_distribution(out).probs)) < 1e-8
+
+    def test_circuit_without_u2q(self):
+        dev = DeviceModel.linear(3, native_gates=RYCZ)
+        c = measure_all(Circuit.from_gates(3, [H(0), CX(0, 1), SWAP(1, 2), Rz(2, 0.3)]))
+        out = decompose_to_native(c, dev)
+        assert validate_against_device(out, dev) == []
+        assert np.max(np.abs(ideal_distribution(c).probs - ideal_distribution(out).probs)) < 1e-10
+        assert decompose_to_native(Circuit(2, ()), dev).gate_count() == 0
+
+    def test_one_synthesis_and_one_euler_call_per_circuit(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(transpile, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in ("synthesize_two_qubit", "euler_zyz"):
+            monkeypatch.setattr(transpile, name, counted(name))
+        dev = DeviceModel.linear(4, native_gates=RYCZ)
+        c = measure_all(qv_model_circuit(4, SeedStream(95)))
+        assert sum(g.kind is GateKind.U2Q for g in c.all_gates()) > 1
+        out = decompose_to_native(c, dev)
+        assert calls == ["synthesize_two_qubit", "euler_zyz"]
+        assert np.max(np.abs(ideal_distribution(c).probs - ideal_distribution(out).probs)) < 1e-8
 
     def test_non_universal_native_set_rejected(self):
         dev = DeviceModel.linear(2, native_gates=(GateKind.H, GateKind.CX))
