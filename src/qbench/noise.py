@@ -6,13 +6,16 @@ site over its targets; an n-qubit Pauli layer is n 1q sites at its 1q rate.
 Readout bits flip independently. A drift schedule adds a per-shot offset to
 every rate, gate and readout alike (RB's readout too); rates clip to [0, 1].
 
-Draw layout: for each gate in order, and each of its sites whose clipped rate
-is above 0 for some shot, `rng.random(batch) < rates` then
-`rng.integers(0, len(labels), batch)`; after sampling, for each measured qubit
-in order whose clipped readout rate is above 0 for some shot, one
-`rng.random(batch) < rates`. Between the two, the tableau sampler draws each
-shot's outcome picks in shot order, one `rng.integers(0, 2, (1, k), uint8)`
-per shot when the ideal outcomes span k > 0 random bits.
+Draw layout: for each gate in order, and each of its sites (`gate_sites`)
+whose clipped rate is above 0 for some shot, `rng.random(batch) < rates` then
+`rng.integers(0, len(labels), batch)`; then the outcome picks; then, for each
+measured qubit in order whose clipped readout rate is above 0 for some shot,
+one `rng.random(batch) < rates`. The statevector engine, which randomized
+benchmarking shares with one site per Clifford element, picks outcomes with
+one `rng.random(batch)`: each shot takes the first index whose normalized
+cumulative sum reaches its draw. The tableau sampler draws each shot's
+outcome picks in shot order, one `rng.integers(0, 2, (1, k), uint8)` per
+shot when the ideal outcomes span k > 0 random bits.
 """
 from __future__ import annotations
 
@@ -191,15 +194,23 @@ def _clipped(base: float, offsets: np.ndarray | None) -> np.ndarray | float:
     return np.clip(base + offsets, 0.0, 1.0) if offsets is not None else base
 
 
-def _can_fire(rates: np.ndarray | float) -> bool:
-    return bool(np.any(np.asarray(rates) > 0))
+def can_fire(rate: float, offsets: np.ndarray | None) -> bool:
+    """Whether a site or readout bit with base `rate` can fire for some shot under these offsets."""
+    return bool(np.any(_clipped(rate, offsets) > 0))
 
 
-def gate_can_fire(noise: NoiseModel, gate: Gate, offsets: np.ndarray | None) -> bool:
-    """Whether `draw_gate_errors` draws anything for `gate` under these shot offsets."""
+def gate_sites(noise: NoiseModel, gate: Gate) -> list[tuple[tuple[int, ...], float]]:
+    """(qubits, base rate) of each noisy site of `gate`, in draw order.
+
+    A Pauli layer is one 1q site per target; a measurement or barrier has none;
+    any other gate is one site over its targets.
+    """
     if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
-        return False
-    return _can_fire(_clipped(noise.error_for(gate.kind, gate.targets), offsets))
+        return []
+    rate = noise.error_for(gate.kind, gate.targets)
+    if gate.kind is GateKind.PAULI:
+        return [((t,), rate) for t in gate.targets]
+    return [(gate.targets, rate)]
 
 
 def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int,
@@ -208,10 +219,9 @@ def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int
 
     The choice is drawn for every shot, so the layout does not depend on the hits.
     """
-    rates = _clipped(rate, offsets)
-    if not _can_fire(rates):
+    if not can_fire(rate, offsets):
         return None
-    hit = rng.random(batch) < rates
+    hit = rng.random(batch) < _clipped(rate, offsets)
     choice = rng.integers(0, len(PAULI_LABELS[n_qubits]), size=batch)
     rows = np.flatnonzero(hit)
     return rows, choice[rows]
@@ -219,16 +229,9 @@ def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int
 
 def draw_gate_errors(noise: NoiseModel, gate: Gate, offsets: np.ndarray | None, batch: int,
                      rng: np.random.Generator) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
-    """(qubits, hit shots, label index per hit) for every site of `gate` that can fire.
-
-    A Pauli layer is one 1q site per target; any other gate is one site over its targets.
-    """
-    if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
-        return []
-    rate = noise.error_for(gate.kind, gate.targets)
-    sites = [(t,) for t in gate.targets] if gate.kind is GateKind.PAULI else [gate.targets]
+    """(qubits, hit shots, label index per hit) for every site of `gate` that can fire."""
     drawn = []
-    for qubits in sites:
+    for qubits, rate in gate_sites(noise, gate):
         site = draw_site(rate, offsets, batch, len(qubits), rng)
         if site is not None:
             drawn.append((qubits, *site))
@@ -240,7 +243,7 @@ def draw_readout_flips(noise: NoiseModel, qubits, offsets: np.ndarray | None, ba
     """(qubit, per-shot flip mask) for each measured qubit, in order, whose readout can flip."""
     flips = []
     for q in qubits:
-        rates = _clipped(noise.readout_for(q), offsets)
-        if _can_fire(rates):
-            flips.append((q, rng.random(batch) < rates))
+        rate = noise.readout_for(q)
+        if can_fire(rate, offsets):
+            flips.append((q, rng.random(batch) < _clipped(rate, offsets)))
     return flips

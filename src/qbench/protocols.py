@@ -27,7 +27,7 @@ from .metrics import (
     CollisionStats, collision_delta, collision_volume, hellinger_distance, hog_probability,
     l1_distance, xeb_alpha,
 )
-from .noise import NoiseModel, draw_readout_flips, draw_site
+from .noise import NoiseModel, can_fire
 from .randgen import (
     VolumetricShape, layered_model_circuit, make_mirror_circuit, qv_model_circuit,
     random_clifford_circuit, volumetric_family,
@@ -35,8 +35,8 @@ from .randgen import (
 from .rng import SeedStream
 from .stabilizer import stabilizer_sample
 from .statevector import (
-    DEFAULT_WIDTH_CAP, _sample_rows, apply_paulis, apply_unitary, ideal_distribution,
-    run_statevector, sample_counts, zero_state,
+    DEFAULT_WIDTH_CAP, _sample_plan, _sample_rows, apply_unitary, ideal_distribution,
+    run_statevector, sample_counts,
 )
 from .transpile import TranspileConfig, run_pipeline
 
@@ -297,20 +297,22 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
 
     Each sampled Clifford element counts as one noisy unit with the noise
     model's per-element depolarizing rate; the closing element is the exact
-    group inverse of the sequence, so the noiseless survival is 1. Errors and
-    readout flips are drawn with the channel of `qbench.noise`, so drift
-    shifts the readout rates as well as the element rate.
+    group inverse of the sequence, so the noiseless survival is 1. Each
+    sequence runs on the statevector trajectory engine as a plan of one op per
+    element, each with one site at that rate, so errors, outcome picks and
+    readout flips follow the channel and draw layout of `qbench.noise`, and
+    drift shifts the readout rates as well as the element rate.
     """
     if n_qubits not in (1, 2):
         raise ValidationError("randomized benchmarking supports 1 or 2 qubits")
     if len(set(lengths)) < 2:
         raise ValidationError("need at least 2 distinct sequence lengths to fit a decay")
     group = clifford_group(n_qubits)
-    dim = 1 << n_qubits
     qubits = tuple(range(n_qubits))
     noise = noise if noise is not None else NoiseModel()
     rate = noise.element_error(n_qubits)
     offsets = noise.shot_offsets(shots)
+    sites = [(qubits, rate)] if can_fire(rate, offsets) else []
 
     survivals: list[list[float]] = []
     for li, m in enumerate(lengths):
@@ -319,18 +321,9 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
             rng = stream.child(li, s).generator()
             indices = [int(i) for i in rng.integers(0, len(group), size=m)]
             gates = tuple(g for idx in indices for g in group.elements[idx].gates)
-            inverse = group.inverse_index(gates)
-            unitaries = [group.unitary(i) for i in indices] + [group.unitary(inverse)]
-
-            states = zero_state(shots, n_qubits)
-            for u in unitaries:
-                states = apply_unitary(states, u, qubits)
-                drawn = draw_site(rate, offsets, shots, n_qubits, rng)
-                if drawn is not None:
-                    apply_paulis(states, qubits, *drawn)
-            outcomes = _sample_rows(np.abs(states.reshape(shots, dim)) ** 2, rng)
-            for q, flips in draw_readout_flips(noise, qubits, offsets, shots, rng):
-                outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
+            plan = [(qubits, group.unitary(i), sites)
+                    for i in indices + [group.inverse_index(gates)]]
+            outcomes = _sample_plan(plan, n_qubits, shots, noise, offsets, qubits, rng)
             per_seq.append(float(np.mean(outcomes == 0)))
         survivals.append(per_seq)
     return RbResult(n_qubits, list(lengths), survivals, shots, stream.as_record())
@@ -534,8 +527,7 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
         state = psi.reshape((1,) + (2,) * n)
         for q, idx in enumerate(chosen):
             state = apply_unitary(state, group.unitary(idx), (q,))
-        probs = np.abs(state.reshape(-1)) ** 2
-        outcome = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum()))
+        outcome = int(_sample_rows(np.abs(state.reshape(-1)) ** 2, 1, rng)[0])
         bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
         for oi, obs in enumerate(observables):
             value = 1.0

@@ -2,27 +2,34 @@
 
 Shots are simulated as a batch: the state is a (batch,) + (2,)*n tensor, one
 row per trajectory with qubit q on axis 1 + q, and noise draws select the rows
-that receive a Pauli injection. With no noise model the sampler collapses to a
-single-state evolution plus a multinomial draw, which is distribution-identical
-and much faster. A noisy call whose circuit has no gate that can fire also
-evolves one state, and picks each shot's outcome from it with the draws a
-batch of identical trajectories would make.
+that receive a Pauli injection.
 
-Each call compiles its circuit once into an execution plan, a list of
-(targets, fused unitary, gate whose errors are drawn after it or None), and
-runs it with one kernel: `np.tensordot` of the unitary with the target axes,
-then `np.moveaxis` to put them back. Fusion follows qsim (Isakov et al.,
-arXiv:2111.02396) but tracks the last op on each qubit, because lowered gates
-are interleaved layer by layer: a 1q gate folds into the next op on its qubit,
-and successive 2q gates on one pair merge into one op. A gate whose noise site
-can fire for some shot of the call closes its op, so nothing fuses across it;
-its errors are drawn right after that op, once per chunk, so the draw layout
-of `qbench.noise` is unchanged. On every qubit, unitaries and injections keep
-their circuit order.
+Every sampler runs one trajectory engine. A circuit compiles once per call
+into an execution plan, a list of (targets, fused unitary, sites), where the
+sites are the (qubits, rate) pairs of `qbench.noise.gate_sites` that can fire
+for some shot of the call; randomized benchmarking builds its plan directly,
+one op per Clifford element with one site at the element rate. The engine
+applies each op with one kernel (`np.tensordot` of the unitary with the
+target axes, then `np.moveaxis` to put them back) and draws each of its sites
+right after it, once per chunk of trajectories, so the draw layout of
+`qbench.noise` holds. A plan with no sites, the noiseless one included, is
+one state for every shot: it is evolved once and every shot is picked from it
+in one chunk.
+
+Every shot's outcome follows one rule: the first index whose normalized
+cumulative sum reaches the shot's uniform draw (`_sample_rows`). Each shot
+takes one draw whatever the probabilities, so a last-digit change to one
+outcome's probability moves only the shots whose draws fall within it.
+
+Fusion follows qsim (Isakov et al., arXiv:2111.02396) but tracks the last op
+on each qubit, because lowered gates are interleaved layer by layer: a 1q
+gate folds into the next op on its qubit, and successive 2q gates on one pair
+merge into one op. An op with sites closes: nothing fuses across it. On every
+qubit, unitaries and injections keep their circuit order.
 
 A drawn Pauli acts on the hit rows by index arithmetic, not matrix products:
 X and Y XOR the amplitude index with their bits, and Z and Y multiply by a
-phase vector.
+sign.
 """
 from __future__ import annotations
 
@@ -30,12 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, gate_unitary, pauli_matrix
+from .circuits import Circuit, GateKind, gate_unitary, pauli_matrix
 from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
-from .noise import (
-    PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips, gate_can_fire,
-)
+from .noise import PAULI_BITS, NoiseModel, can_fire, draw_readout_flips, draw_site, gate_sites
 
 DEFAULT_WIDTH_CAP = 24
 
@@ -95,34 +100,28 @@ def apply_unitary(state: np.ndarray, unitary: np.ndarray, targets: tuple[int, ..
     return np.moveaxis(out, range(-k, 0), axes)
 
 
-def _pauli_action(n_qubits: int, qubits: tuple[int, ...], word: str) -> tuple[np.ndarray, np.ndarray]:
-    """(source, phase) with (P psi)[i] = phase[i] * psi[source[i]] for the Pauli `word` on `qubits`."""
-    index = np.arange(1 << n_qubits)
-    flip, sign = 0, np.ones(1 << n_qubits)
-    for q, letter in zip(qubits, word):
-        bit = 1 << (n_qubits - 1 - q)
-        if letter in "XY":
-            flip |= bit
-        if letter in "YZ":
-            sign[(index & bit) != 0] *= -1
-    # Y = -i ZX: the X flip, then a Z sign read on the output bit.
-    return index ^ flip, sign * (-1j) ** word.count("Y")
+#: (-i)^k, the phase of a drawn Pauli with k Y letters (Y = -i ZX)
+_Y_PHASE = np.array([(-1j) ** k for k in range(3)])
 
 
 def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
                  choices: np.ndarray) -> None:
     """Apply the drawn Pauli `PAULI_LABELS[len(qubits)][choice]` to each hit row, in place.
 
-    `state` is a (batch,) + (2,)*n tensor; X and Y permute a row's amplitudes by
-    an index XOR, Z and Y multiply it by a phase vector.
+    `state` is a (batch,) + (2,)*n tensor. One gather serves every hit row: X
+    and Y XOR the row's amplitude index with its mask, then Z and Y flip the
+    sign of each output amplitude whose bit on the letter's qubit is 1.
     """
     n = state.ndim - 1
-    labels = PAULI_LABELS[len(qubits)]
-    for choice in np.unique(choices):
-        sel = rows[choices == choice]
-        source, phase = _pauli_action(n, qubits, labels[choice])
-        flat = state[sel].reshape(len(sel), -1)
-        state[sel] = (flat[:, source] * phase).reshape((len(sel),) + (2,) * n)
+    x, z = (bits[choices].astype(np.int64) for bits in PAULI_BITS[len(qubits)])
+    shifts = [n - 1 - q for q in qubits]
+    index = np.arange(1 << n)
+    flip = sum(x[:, j] << s for j, s in enumerate(shifts))
+    parity = sum(z[:, j, None] * ((index >> s) & 1) for j, s in enumerate(shifts))
+    phase = (1 - 2 * (parity & 1)) * _Y_PHASE[(x & z).sum(axis=1)][:, None]
+    flat = state[rows].reshape(len(rows), 1 << n)
+    gathered = np.take_along_axis(flat, index ^ flip[:, None], axis=1)
+    state[rows] = (gathered * phase).reshape((len(rows),) + (2,) * n)
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -138,68 +137,88 @@ def _swap_pair(unitary: np.ndarray) -> np.ndarray:
     return unitary.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
-def _plan(circuit: Circuit, noise: NoiseModel | None,
-          offsets: np.ndarray | None) -> list[tuple[tuple[int, ...], np.ndarray, Gate | None]]:
-    """The circuit as fused ops: (targets, unitary, gate whose errors are drawn after it or None).
+def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
+          ) -> list[tuple[tuple[int, ...], np.ndarray, list[tuple[tuple[int, ...], float]]]]:
+    """The circuit as fused ops: (targets, unitary, sites drawn right after it).
 
-    A 1q gate folds into the next op on its qubit, and a 2q gate merges into the
-    last op on both its qubits when that op is on the same pair. A gate that
-    can fire (`gate_can_fire` over all of the call's `offsets`) closes its op:
-    nothing merges into an op that carries a gate. Ops with a gate stay in gate
-    order, so the draws keep the layout of `qbench.noise`.
+    A gate's sites are the (qubits, rate) pairs of `gate_sites` that can fire
+    for some shot under the call's `offsets`, decided once per (kind,
+    targets). A 1q gate folds into the next op on its qubit, and a 2q gate
+    merges into the last op on both its qubits when that op is on the same
+    pair. A gate with sites closes its op: nothing merges into an op that
+    carries sites. Ops with sites stay in gate order, so the draws keep the
+    layout of `qbench.noise`.
     """
     ops: list[list] = []
     last: dict[int, int] = {}
     pending: dict[int, np.ndarray] = {}
+    fire: dict[tuple, list] = {}
 
-    def emit(targets, unitary, gate=None):
-        ops.append([targets, unitary, gate])
-        for q in (gate.targets if gate is not None else targets):
+    def emit(targets, unitary, sites=()):
+        ops.append([targets, unitary, list(sites)])
+        for q in targets + tuple(q for qubits, _ in sites for q in qubits):
             last[q] = len(ops) - 1
 
     for gate in circuit.all_gates():
         if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
             continue
-        fires = noise is not None and gate_can_fire(noise, gate, offsets)
+        sites = []
+        if noise is not None:
+            key = (gate.kind, gate.targets)
+            if key not in fire:
+                fire[key] = [s for s in gate_sites(noise, gate) if can_fire(s[1], offsets)]
+            sites = fire[key]
         if gate.kind is GateKind.PAULI:
             # The letters are 1q gates (the layer's sign is a global phase). A noisy
             # layer emits its targets' pending 1q ops; the last target's carries the draws.
             for q, letter in zip(gate.targets, gate.paulis):
                 if letter != "I":
                     pending[q] = pauli_matrix(letter) @ pending.get(q, _I2)
-            if fires:
+            if sites:
                 *rest, final = gate.targets
                 for q in rest:
                     if q in pending:
                         emit((q,), pending.pop(q))
-                emit((final,), pending.pop(final, _I2), gate)
+                emit((final,), pending.pop(final, _I2), sites)
             continue
         unitary = gate_unitary(gate)
         if len(gate.targets) == 1:
             (q,) = gate.targets
             pending[q] = unitary @ pending.get(q, _I2)
-            if fires:
-                emit((q,), pending.pop(q), gate)
+            if sites:
+                emit((q,), pending.pop(q), sites)
             continue
         a, b = gate.targets
         unitary = unitary @ _kron(pending.pop(a, _I2), pending.pop(b, _I2))
         i = last.get(a)
-        if not fires and i is not None and last.get(b) == i and ops[i][2] is None \
+        if not sites and i is not None and last.get(b) == i and not ops[i][2] \
                 and set(ops[i][0]) == {a, b}:
             ops[i][1] = (unitary if ops[i][0] == (a, b) else _swap_pair(unitary)) @ ops[i][1]
         else:
-            emit((a, b), unitary, gate if fires else None)
+            emit((a, b), unitary, sites)
     for q in sorted(pending):
         emit((q,), pending[q])
     return [tuple(op) for op in ops]
 
 
+def _evolve(plan: list, batch: int, n_qubits: int, offsets: np.ndarray | None,
+            rng: np.random.Generator | None) -> np.ndarray:
+    """`batch` trajectories of `plan` from |0...0>: each op's unitary, then a
+    draw for each of its sites (with these per-shot offsets) and the drawn Paulis."""
+    state = zero_state(batch, n_qubits)
+    for targets, unitary, sites in plan:
+        state = apply_unitary(state, unitary, targets)
+        for qubits, rate in sites:
+            drawn = draw_site(rate, offsets, batch, len(qubits), rng)
+            if drawn is not None:
+                apply_paulis(state, qubits, *drawn)
+    return state
+
+
 def run_statevector(circuit: Circuit, cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
     """Noiseless final state of `circuit` with measurements stripped."""
     _check_cap(circuit.n_qubits, cap)
-    state = zero_state(1, circuit.n_qubits)
-    for targets, unitary, _ in _plan(circuit, None, None):
-        state = apply_unitary(state, unitary, targets)
+    state = _evolve(_plan(circuit, None, None), 1, circuit.n_qubits, None, None)
     return StateVector(circuit.n_qubits, state.reshape(-1))
 
 
@@ -237,22 +256,46 @@ def _extract_measured_indices(samples: np.ndarray, circuit: Circuit) -> np.ndarr
     return out
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one outcome index per row of a (batch, N) probability array."""
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1][:, None]
-    u = rng.random(probs.shape[0])
-    return (cum < u[:, None]).sum(axis=1).astype(np.int64)
+def _sample_rows(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """One outcome index per shot: the first index whose normalized cumulative
+    sum reaches the shot's uniform draw.
+
+    `probs` is either one (N,) row that every shot shares, searched with
+    `np.searchsorted`, or a (shots, N) array with one row per shot.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cum /= cum[..., -1:]
+    u = rng.random(shots)
+    if cum.ndim == 1:
+        return np.searchsorted(cum, u)
+    return np.argmax(cum >= u[:, None], axis=1)
 
 
-def _readout_flips(indices: np.ndarray, circuit: Circuit, noise: NoiseModel,
-                   offsets: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-    n = circuit.n_qubits
-    measured = circuit.measured_qubits() or tuple(range(n))
-    out = indices.copy()
-    for q, flips in draw_readout_flips(noise, measured, offsets, indices.shape[0], rng):
-        out ^= flips.astype(np.int64) << (n - 1 - q)
-    return out
+def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None,
+                 offsets: np.ndarray | None, readout: tuple[int, ...],
+                 rng: np.random.Generator) -> np.ndarray:
+    """One outcome index per shot of `plan`'s trajectories, after readout flips on `readout`.
+
+    If some op carries sites, chunks of trajectories are evolved and each
+    shot picks from its own row. Otherwise every trajectory is the same
+    state, so one state is evolved and every shot picks from it in one chunk.
+    """
+    draws = any(sites for _, _, sites in plan)
+    chunk = max(1, _CHUNK_AMPS >> n_qubits) if draws else shots
+    if not draws:
+        probs = np.abs(_evolve(plan, 1, n_qubits, None, rng).reshape(-1)) ** 2
+    picks = []
+    for start in range(0, shots, chunk):
+        size = min(chunk, shots - start)
+        part = offsets[start:start + size] if offsets is not None else None
+        if draws:
+            probs = np.abs(_evolve(plan, size, n_qubits, part, rng).reshape(size, -1)) ** 2
+        pick = _sample_rows(probs, size, rng)
+        if noise is not None:
+            for q, flips in draw_readout_flips(noise, readout, part, size, rng):
+                pick ^= flips.astype(np.int64) << (n_qubits - 1 - q)
+        picks.append(pick)
+    return np.concatenate(picks)
 
 
 def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
@@ -267,48 +310,8 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
         raise ValidationError("shots must be positive")
     n = circuit.n_qubits
     measured = circuit.measured_qubits()
-    n_bits = len(measured) if measured else n
-
-    if noise is None:
-        dist = ideal_distribution(circuit, cap=cap)
-        counts = rng.multinomial(shots, dist.probs)
-        idx = np.nonzero(counts)[0]
-        return SampleSet(n_bits, {format(int(i), f"0{n_bits}b"): int(counts[i]) for i in idx})
-
-    offsets_all = noise.shot_offsets(shots)
-    plan = _plan(circuit, noise, offsets_all)
-    gate_noise_free = noise.default_1q == 0 and noise.default_2q == 0 \
-        and not any(noise.gate_error.values()) and not any(noise.edge_error.values()) \
-        and (offsets_all is None or not np.any(offsets_all > 0))
-    # Readout-only noise draws every shot's outcome in one go, then flips bits.
-    chunk = shots if gate_noise_free else max(1, _CHUNK_AMPS >> n)
-    cum = None
-    if all(gate is None for _, _, gate in plan):
-        # No op draws errors, so every trajectory is the same state: evolve it
-        # once. Searching its cumulative sum picks what `_sample_rows` picks.
-        state = zero_state(1, n)
-        for targets, unitary, _ in plan:
-            state = apply_unitary(state, unitary, targets)
-        cum = np.cumsum(np.abs(state.reshape(-1)) ** 2)
-        cum /= cum[-1]
-    result: SampleSet | None = None
-    start = 0
-    while start < shots:
-        size = min(chunk, shots - start)
-        offsets = offsets_all[start:start + size] if offsets_all is not None else None
-        if cum is not None:
-            samples = np.searchsorted(cum, rng.random(size)).astype(np.int64)
-        else:
-            state = zero_state(size, n)
-            for targets, unitary, gate in plan:
-                state = apply_unitary(state, unitary, targets)
-                if gate is not None:
-                    for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, size, rng):
-                        apply_paulis(state, qubits, rows, choices)
-            samples = _sample_rows(np.abs(state.reshape(size, -1)) ** 2, rng)
-        samples = _readout_flips(samples, circuit, noise, offsets, rng)
-        samples = _extract_measured_indices(samples, circuit)
-        part = SampleSet.from_indices(samples, n_bits)
-        result = part if result is None else result.merge(part)
-        start += size
-    return result
+    offsets = noise.shot_offsets(shots) if noise is not None else None
+    picks = _sample_plan(_plan(circuit, noise, offsets), n, shots, noise, offsets,
+                         measured or tuple(range(n)), rng)
+    return SampleSet.from_indices(_extract_measured_indices(picks, circuit),
+                                  len(measured) if measured else n)

@@ -1,11 +1,15 @@
 """Reference statevector simulator: the circuit applied one gate at a time.
 
+It also keeps randomized benchmarking's own batched trajectory loop
+(`reference_rb_survivals`), which `qbench.protocols.run_rb` must match.
+
 Every gate becomes its own transpose, matrix product and inverse transpose on a
 (batch, 2**n) array, and each drawn Pauli a matrix product on the copied hit
 rows. It draws exactly what `qbench.statevector.sample_counts` draws (the same
 chunks, gate errors in gate order, outcome picks, readout flips), so the fused
 execution plan is checked against it amplitude for amplitude and count for
-count.
+count. Outcomes are picked by counting, per shot, the normalized cumulative
+sums below its draw; the simulator finds the same index by search.
 """
 from __future__ import annotations
 
@@ -13,11 +17,14 @@ import numpy as np
 
 from qbench import statevector
 from qbench.circuits import Circuit, Gate, GateKind, gate_unitary, pauli_matrix
+from qbench.cliffords import clifford_group
 from qbench.distributions import SampleSet
-from qbench.noise import PAULI_LABELS, NoiseModel, draw_gate_errors
-from qbench.statevector import (
-    _extract_measured_indices, _measured_bit_distribution, _readout_flips, _sample_rows,
+from qbench.noise import (
+    PAULI_LABELS, NoiseModel, can_fire, draw_gate_errors, draw_readout_flips, draw_site,
+    gate_sites,
 )
+from qbench.rng import SeedStream
+from qbench.statevector import _extract_measured_indices
 
 
 def apply_unitary_batch(amps: np.ndarray, unitary: np.ndarray, targets: tuple[int, ...],
@@ -70,25 +77,38 @@ def reference_amplitudes(circuit: Circuit) -> np.ndarray:
     return amps[0]
 
 
+def _first_reaching(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row of `probs`, the first index whose normalized cumulative sum reaches u."""
+    cum = np.cumsum(probs, axis=1)
+    cum /= cum[:, -1][:, None]
+    return (cum < u[:, None]).sum(axis=1).astype(np.int64)
+
+
+def _readout(samples: np.ndarray, circuit: Circuit, noise: NoiseModel | None,
+             offsets: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
+    if noise is None:
+        return samples
+    n = circuit.n_qubits
+    measured = circuit.measured_qubits() or tuple(range(n))
+    for q, flips in draw_readout_flips(noise, measured, offsets, samples.shape[0], rng):
+        samples = samples ^ (flips.astype(np.int64) << (n - 1 - q))
+    return samples
+
+
 def reference_sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
                             rng: np.random.Generator) -> SampleSet:
     n = circuit.n_qubits
     measured = circuit.measured_qubits()
     n_bits = len(measured) if measured else n
-    if noise is None:
+    offsets_all = noise.shot_offsets(shots) if noise is not None else None
+    draws = noise is not None and any(
+        can_fire(rate, offsets_all) for gate in circuit.all_gates()
+        for _, rate in gate_sites(noise, gate))
+    if not draws:
+        # Every trajectory is the same state: all shots in one chunk.
         probs = np.abs(reference_amplitudes(circuit)) ** 2
-        counts = rng.multinomial(shots, _measured_bit_distribution(probs, circuit).probs)
-        idx = np.nonzero(counts)[0]
-        return SampleSet(n_bits, {format(int(i), f"0{n_bits}b"): int(counts[i]) for i in idx})
-
-    offsets_all = noise.shot_offsets(shots)
-    gate_noise_free = noise.default_1q == 0 and noise.default_2q == 0 \
-        and not any(noise.gate_error.values()) and not any(noise.edge_error.values()) \
-        and (offsets_all is None or not np.any(offsets_all > 0))
-    if gate_noise_free:
-        cum = np.cumsum(np.abs(reference_amplitudes(circuit)) ** 2)
-        samples = np.searchsorted(cum / cum[-1], rng.random(shots)).astype(np.int64)
-        samples = _readout_flips(samples, circuit, noise, offsets_all, rng)
+        samples = _first_reaching(probs[None, :], rng.random(shots))
+        samples = _readout(samples, circuit, noise, offsets_all, rng)
         return SampleSet.from_indices(_extract_measured_indices(samples, circuit), n_bits)
     chunk = max(1, statevector._CHUNK_AMPS >> n)
     result = None
@@ -101,8 +121,44 @@ def reference_sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | No
             amps = _apply_gate(amps, gate, n)
             for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, size, rng):
                 amps = _apply_paulis(amps, qubits, rows, choices, n)
-        samples = _sample_rows(np.abs(amps) ** 2, rng)
-        samples = _readout_flips(samples, circuit, noise, offsets, rng)
+        samples = _first_reaching(np.abs(amps) ** 2, rng.random(size))
+        samples = _readout(samples, circuit, noise, offsets, rng)
         part = SampleSet.from_indices(_extract_measured_indices(samples, circuit), n_bits)
         result = part if result is None else result.merge(part)
     return result
+
+
+def reference_rb_survivals(noise: NoiseModel | None, n_qubits: int, lengths: list[int],
+                           sequences_per_length: int, shots: int,
+                           stream: SeedStream) -> list[list[float]]:
+    """Randomized-benchmarking survivals from one batched loop per sequence.
+
+    Every shot is its own trajectory, even when no error can fire: each
+    element's unitary, then one draw at the element rate, the outcome picks,
+    then the readout flips, all from the sequence's own generator.
+    """
+    group = clifford_group(n_qubits)
+    qubits = tuple(range(n_qubits))
+    noise = noise if noise is not None else NoiseModel()
+    rate = noise.element_error(n_qubits)
+    offsets = noise.shot_offsets(shots)
+    survivals = []
+    for li, m in enumerate(lengths):
+        per_seq = []
+        for s in range(sequences_per_length):
+            rng = stream.child(li, s).generator()
+            indices = [int(i) for i in rng.integers(0, len(group), size=m)]
+            gates = tuple(g for idx in indices for g in group.elements[idx].gates)
+            amps = np.zeros((shots, 1 << n_qubits), dtype=complex)
+            amps[:, 0] = 1.0
+            for i in indices + [group.inverse_index(gates)]:
+                amps = apply_unitary_batch(amps, group.unitary(i), qubits, n_qubits)
+                drawn = draw_site(rate, offsets, shots, n_qubits, rng)
+                if drawn is not None:
+                    amps = _apply_paulis(amps, qubits, *drawn, n_qubits)
+            outcomes = _first_reaching(np.abs(amps) ** 2, rng.random(shots))
+            for q, flips in draw_readout_flips(noise, qubits, offsets, shots, rng):
+                outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
+            per_seq.append(float(np.mean(outcomes == 0)))
+        survivals.append(per_seq)
+    return survivals

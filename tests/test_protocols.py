@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from statevector_reference import reference_rb_survivals
 
 from qbench.circuits import CX, Circuit, H, PauliString
 from qbench.device import DeviceModel
 from qbench.errors import ValidationError
-from qbench.noise import NoiseModel
+from qbench.noise import DriftSchedule, NoiseModel
 from qbench.protocols import (
     collision_shots, run_clops, run_collision_test, run_mirror_benchmark,
     run_quantum_volume, run_rb, run_volumetric, shadow_estimate, xeb_verify_device,
@@ -107,6 +108,19 @@ class TestRb:
         assert 0.9 < result.decay <= 1.0
         assert result.error_per_clifford > 0
 
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("noise", [
+        None,
+        NoiseModel.uniform(p1=0.03, p2=0.06),
+        NoiseModel.uniform(readout=0.05),
+        NoiseModel.uniform(p1=0.01, p2=0.02, readout=0.02,
+                           drift=DriftSchedule((0.0, 0.02), 0.01, SeedStream(122))),
+    ], ids=["noiseless", "uniform", "readout", "drift"])
+    def test_matches_reference_loop(self, noise, n_qubits):
+        lengths, stream = [1, 3, 6], SeedStream(123, (n_qubits,))
+        result = run_rb(COMPLETE4, noise, n_qubits, lengths, 3, 64, stream)
+        assert result.survivals == reference_rb_survivals(noise, n_qubits, lengths, 3, 64, stream)
+
     def test_needs_two_distinct_lengths(self):
         with pytest.raises(ValidationError):
             run_rb(COMPLETE4, None, 1, [4, 4], 5, 50, SeedStream(1))
@@ -160,12 +174,16 @@ class TestClops:
         assert a.layers_executed == b.layers_executed
 
     def test_throughput_steady_under_doubling(self):
+        # Small and double runs alternate, and their medians are compared, so
+        # load from other processes slows both sides alike.
         run_clops(COMPLETE4, None, 4, 20, 5, SeedStream(199), shots=100)  # warmup
-        small = max(run_clops(COMPLETE4, None, 4, 60, 5, SeedStream(116), shots=100)
-                    .layers_per_second for _ in range(2))
-        double = max(run_clops(COMPLETE4, None, 4, 120, 5, SeedStream(117), shots=100)
-                     .layers_per_second for _ in range(2))
-        assert 0.75 < double / small < 1.25
+        small, double = [], []
+        for _ in range(7):
+            small.append(run_clops(COMPLETE4, None, 4, 60, 5, SeedStream(116), shots=100)
+                         .layers_per_second)
+            double.append(run_clops(COMPLETE4, None, 4, 120, 5, SeedStream(117), shots=100)
+                          .layers_per_second)
+        assert 0.75 < np.median(double) / np.median(small) < 1.25
 
 
 class TestShadows:

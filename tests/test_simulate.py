@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from stabilizer_reference import reference_sample
-from statevector_reference import reference_amplitudes, reference_sample_counts
+from statevector_reference import _apply_paulis, reference_amplitudes, reference_sample_counts
 
 from qbench import statevector
 from qbench.circuits import (
@@ -17,12 +17,14 @@ from qbench.device import DeviceModel
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
-from qbench.noise import DriftSchedule, NoiseModel, drift_rate_at
+from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, drift_rate_at
 from qbench.cliffords import clifford_group
 from qbench.randgen import haar_unitary, layered_model_circuit, random_clifford_circuit
 from qbench.rng import SeedStream
 from qbench.stabilizer import _push_frame, _sign_flips, stabilizer_sample
-from qbench.statevector import _plan, apply_unitary, ideal_distribution, run_statevector, sample_counts
+from qbench.statevector import (
+    _plan, apply_paulis, apply_unitary, ideal_distribution, run_statevector, sample_counts,
+)
 from qbench.transpile import TranspileConfig, run_pipeline
 
 
@@ -113,6 +115,17 @@ class TestSampling:
         a = sample_counts(c, 500, noise, SeedStream(26).generator())
         b = sample_counts(c, 500, noise, SeedStream(26).generator())
         assert a == b
+
+    def test_zero_probability_outcome_takes_no_draw(self):
+        # Ry(6.32e-17) on the low qubit gives each odd outcome a probability of
+        # 2.5e-34 where Ry(0) gives exactly 0; every shot still takes one draw,
+        # so no count of the seeded call moves.
+        def counts(angle):
+            c = measure_all(Circuit.from_gates(3, [H(0), H(1), Ry(2, angle)]))
+            return sample_counts(c, 1000, None, SeedStream(28).generator()).counts
+
+        assert 0 < np.abs(run_statevector(Circuit.from_gates(1, [Ry(0, 6.32e-17)])).amps[1]) < 1e-16
+        assert counts(6.32e-17) == counts(0.0)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
@@ -299,12 +312,26 @@ class TestExecutionPlan:
             reference = reference_sample_counts(circuit, shots, noise, SeedStream(seed).generator())
         assert fused == reference
 
+    @pytest.mark.parametrize("qubits", [(0,), (3,), (1, 4), (4, 0)])
+    def test_pauli_injection_matches_reference(self, qubits):
+        # Every label of the site, each on its own hit rows, amplitude for amplitude.
+        n, batch = 5, 60
+        rng = SeedStream(74, qubits).generator()
+        amps = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+        rows = np.flatnonzero(rng.random(batch) < 0.7)
+        choices = rng.integers(0, len(PAULI_LABELS[len(qubits)]), size=len(rows))
+        state = amps.reshape((batch,) + (2,) * n).copy()
+        apply_paulis(state, qubits, rows, choices)
+        np.testing.assert_array_equal(state.reshape(batch, -1),
+                                      _apply_paulis(amps.copy(), qubits, rows, choices, n))
+
     def test_drift_makes_zero_rate_gates_block_fusion(self):
         c = measure_all(Circuit.from_gates(2, [Rz(0, 0.3), H(1), CX(0, 1), Rx(1, 0.2), CX(0, 1)]))
-        assert [gate for _, _, gate in _plan(c, NoiseModel.uniform(), None)] == [None]
+        assert [sites for _, _, sites in _plan(c, NoiseModel.uniform(), None)] == [[]]
         drift = NoiseModel.uniform(drift=DriftSchedule((0.0, 0.05)))
-        fired = [gate.kind for _, _, gate in _plan(c, drift, drift.shot_offsets(2))]
-        assert fired == [GateKind.RZ, GateKind.H, GateKind.CX, GateKind.RX, GateKind.CX]
+        fired = [sites for _, _, sites in _plan(c, drift, drift.shot_offsets(2))]
+        assert fired == [[((0,), 0.0)], [((1,), 0.0)], [((0, 1), 0.0)], [((1,), 0.0)],
+                         [((0, 1), 0.0)]]
         # A drift that never lifts a rate above 0 draws nothing, so nothing blocks fusion.
         flat = NoiseModel.uniform(drift=DriftSchedule((0.0, -0.05)))
         assert len(_plan(c, flat, flat.shot_offsets(2))) == 1
@@ -314,8 +341,8 @@ class TestExecutionPlan:
         c = measure_all(Circuit.from_gates(3, [CZ(0, 1), H(0), X(2), CX(1, 0), CZ(0, 1)]))
         noise = NoiseModel(gate_error={GateKind.CX: 0.3, GateKind.X: 0.3})
         plan = _plan(c, noise, None)
-        assert [(targets, gate and gate.kind) for targets, _, gate in plan] == [
-            ((0, 1), None), ((2,), GateKind.X), ((1, 0), GateKind.CX), ((0, 1), None)]
+        assert [(targets, sites) for targets, _, sites in plan] == [
+            ((0, 1), []), ((2,), [((2,), 0.3)]), ((1, 0), [((1, 0), 0.3)]), ((0, 1), [])]
         assert sample_counts(c, 200, noise, SeedStream(70).generator()) \
             == reference_sample_counts(c, 200, noise, SeedStream(70).generator())
 
@@ -323,11 +350,11 @@ class TestExecutionPlan:
         # Each target of a noisy layer is a site: its letters are applied before the
         # draws, and the next CX on the pair does not fuse back over them.
         c = Circuit.from_gates(3, [CX(0, 2), PauliLayer([0, 2], "XI"), CX(0, 2)])
-        assert [(targets, gate) for targets, _, gate in _plan(c, NoiseModel.uniform(), None)] \
-            == [((0, 2), None)]
+        assert [(targets, sites) for targets, _, sites in _plan(c, NoiseModel.uniform(), None)] \
+            == [((0, 2), [])]
         plan = _plan(c, NoiseModel.uniform(p1=0.1), None)
-        assert [(targets, gate is not None) for targets, _, gate in plan] == [
-            ((0, 2), False), ((0,), False), ((2,), True), ((0, 2), False)]
+        assert [(targets, sites) for targets, _, sites in plan] == [
+            ((0, 2), []), ((0,), []), ((2,), [((0,), 0.1), ((2,), 0.1)]), ((0, 2), [])]
         np.testing.assert_array_equal(plan[1][1], pauli_matrix("X"))
 
     @pytest.mark.parametrize("noise", [
@@ -340,7 +367,7 @@ class TestExecutionPlan:
         # No gate of the circuit can fire, so the plan carries no draws and one
         # state serves every chunk of 3 trajectories.
         c = measure_all(Circuit.from_gates(4, [H(0), Rz(0, 0.4), H(1), Ry(2, 1.1), Rx(3, 0.3)]))
-        assert all(gate is None for _, _, gate in _plan(c, noise, noise.shot_offsets(50)))
+        assert not any(sites for _, _, sites in _plan(c, noise, noise.shot_offsets(50)))
         monkeypatch.setattr(statevector, "_CHUNK_AMPS", 3 << c.n_qubits)
         assert sample_counts(c, 50, noise, SeedStream(72).generator()) \
             == reference_sample_counts(c, 50, noise, SeedStream(72).generator())
