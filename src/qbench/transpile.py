@@ -202,16 +202,23 @@ def _expand_1q(out: list, family: str) -> list[Gate]:
         if isinstance(item, Gate):
             gates.append(item)
             continue
-        q = item[0]
         alpha, beta, gamma = next(angles)
-        if family == "zyz":
-            seq = [(Rz, gamma), (Ry, beta), (Rz, alpha)]
-        else:
-            seq = [(Rz, gamma - math.pi / 2), (Rx, beta), (Rz, alpha + math.pi / 2)]
-        for ctor, angle in seq:
-            if abs(math.sin(angle / 2.0)) > _ANGLE_EPS:
-                gates.append(ctor(q, angle))
+        # euler_zyz's beta is never negative, and Rz(a) Ry(b) Rz(g) equals
+        # Rz(a - pi) Ry(-b) Rz(g + pi): of the two forms, take the one with
+        # fewer rotations (the first on a tie), so a negative Ry stays one gate.
+        forms = [[(ctor, angle) for ctor, angle in _euler_rotations(family, a, b, g)
+                  if abs(math.sin(angle / 2.0)) > _ANGLE_EPS]
+                 for a, b, g in ((alpha, beta, gamma), (alpha - math.pi, -beta, gamma + math.pi))]
+        gates.extend(ctor(item[0], angle) for ctor, angle in min(forms, key=len))
     return gates
+
+
+def _euler_rotations(family: str, alpha: float, beta: float, gamma: float) -> list:
+    """(constructor, angle) of each rotation of Rz(alpha) Ry(beta) Rz(gamma) in
+    the device's rotation family, in circuit order."""
+    if family == "zyz":
+        return [(Rz, gamma), (Ry, beta), (Rz, alpha)]
+    return [(Rz, gamma - math.pi / 2), (Rx, beta), (Rz, alpha + math.pi / 2)]
 
 
 def _emit_cx(a: int, b: int, ent: GateKind | None, device: DeviceModel, out: list) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbench.circuits import (
-    CX, CZ, Circuit, GateKind, H, Rz, SWAP, U2Q, gate_unitary, inverse_circuit, measure_all,
+    CX, CZ, Circuit, GateKind, H, Ry, Rz, SWAP, U2Q, gate_unitary, inverse_circuit, measure_all,
 )
 from qbench import kak
 from qbench.device import DeviceModel, validate_against_device
@@ -264,6 +264,32 @@ class TestDecompose:
         assert sum(g.kind is GateKind.U2Q for g in c.all_gates()) > 1
         out = decompose_to_native(c, dev)
         assert calls == ["synthesize_two_qubit", "euler_zyz"]
+        assert np.max(np.abs(ideal_distribution(c).probs - ideal_distribution(out).probs)) < 1e-8
+
+    @pytest.mark.parametrize("family", ["zyz", "zxz"])
+    @pytest.mark.parametrize("angle", [0.5, -0.5, -3.0, 4.0])
+    def test_ry_lowers_to_as_few_rotations_at_any_sign(self, family, angle):
+        # Rz Ry Rz with a negative Ry angle: one Ry on an RZ/RY device; on an
+        # RZ/RX device an Ry is always Rz Rx Rz.
+        out = []
+        transpile._emit_1q(0, gate_unitary(Ry(0, angle)), out)
+        gates = transpile._expand_1q(out, family)
+        assert [g.kind for g in gates] == (
+            [GateKind.RY] if family == "zyz" else [GateKind.RZ, GateKind.RX, GateKind.RZ])
+        product = np.eye(2)
+        for g in gates:
+            product = gate_unitary(g) @ product
+        overlap = np.trace(gate_unitary(Ry(0, angle)).conj().T @ product)
+        assert abs(abs(overlap) - 2) < 1e-12
+
+    def test_haar_u2q_lowers_to_eighteen_gates(self):
+        # Three CX, three rotations for each of the four outer locals, and one
+        # for each of the three inner rotations, whatever their signs.
+        dev = DeviceModel.linear(2, native_gates=(GateKind.RZ, GateKind.RY, GateKind.CX))
+        rng = SeedStream(65).generator()
+        c = measure_all(Circuit.from_gates(2, [U2Q(0, 1, haar_unitary(4, rng)) for _ in range(30)]))
+        out = decompose_to_native(c, dev)
+        assert sum(g.kind is not GateKind.MEASURE for g in out.all_gates()) == 18 * 30
         assert np.max(np.abs(ideal_distribution(c).probs - ideal_distribution(out).probs)) < 1e-8
 
     def test_non_universal_native_set_rejected(self):
