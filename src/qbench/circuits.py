@@ -122,10 +122,6 @@ class Gate:
         if self.kind is GateKind.BARRIER and not self.targets:
             raise ValidationError("barrier needs at least one target")
 
-    @property
-    def n_targets(self) -> int:
-        return len(self.targets)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
             return NotImplemented

@@ -101,9 +101,6 @@ class CliffordGroup:
             self._unitaries[index] = u
         return u
 
-    def index_of_key(self, key: bytes) -> int:
-        return self._index_of[key]
-
     def inverse_index(self, gates: tuple[Gate, ...]) -> int:
         """Index of the group element equal to the inverse of `gates` (exact lookup)."""
         inv = tuple(inverse_gate(g) for g in reversed(gates))

@@ -47,18 +47,8 @@ class ProbDist:
         n = 1 << n_bits
         return cls(n_bits, np.full(n, 1.0 / n))
 
-    @classmethod
-    def point_mass(cls, index: int, n_bits: int) -> "ProbDist":
-        p = np.zeros(1 << n_bits)
-        p[index] = 1.0
-        return cls(n_bits, p)
-
     def prob_of(self, bits: str) -> float:
         return float(self.probs[bits_to_index(bits)])
-
-    def permuted(self, perm: np.ndarray) -> "ProbDist":
-        """Relabel outcomes: new[i] = old[perm[i]]."""
-        return ProbDist(self.n_bits, self.probs[np.asarray(perm)])
 
     def to_json(self) -> list[float]:
         if self.n_bits > SERIALIZE_WIDTH_CAP:

@@ -247,13 +247,14 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
     Arbitrary 2q unitaries go through the Cartan path (exactly three native
     entangling gates plus 1q rotations); non-native named gates are rewritten
     with classic identities or Euler angles. Global phases are dropped. One
-    `synthesize_two_qubit` call covers every U2Q of the circuit, and one
-    `euler_zyz` call every 1q unitary the lowering emits.
+    `synthesize_two_qubit` call covers every U2Q of the circuit (none is made
+    without one), and one `euler_zyz` call every 1q unitary the lowering emits.
     """
     family = _rotation_family(device)
     ent = _entangler(device)
     gates = list(circuit.all_gates())
-    seq = synthesize_two_qubit([g.matrix for g in gates if g.kind is GateKind.U2Q])
+    u2q = [g.matrix for g in gates if g.kind is GateKind.U2Q]
+    seq = synthesize_two_qubit(u2q) if u2q else None
     n_u2q = 0
     out: list = []
     for gate in gates:

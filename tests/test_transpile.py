@@ -238,7 +238,11 @@ class TestDecompose:
         assert np.max(np.abs(ideal_distribution(c).probs
                              - ideal_distribution(out).probs)) < 1e-8
 
-    def test_circuit_without_u2q(self):
+    def test_circuit_without_u2q(self, monkeypatch):
+        def synthesize(u):
+            raise AssertionError("synthesis called without a U2Q")
+
+        monkeypatch.setattr(transpile, "synthesize_two_qubit", synthesize)
         dev = DeviceModel.linear(3, native_gates=RYCZ)
         c = measure_all(Circuit.from_gates(3, [H(0), CX(0, 1), SWAP(1, 2), Rz(2, 0.3)]))
         out = decompose_to_native(c, dev)
