@@ -112,6 +112,8 @@ def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
     and Y XOR the row's amplitude index with its mask, then Z and Y flip the
     sign of each output amplitude whose bit on the letter's qubit is 1.
     """
+    if not len(rows):
+        return
     n = state.ndim - 1
     x, z = (bits[choices].astype(np.int64) for bits in PAULI_BITS[len(qubits)])
     shifts = [n - 1 - q for q in qubits]
@@ -119,7 +121,7 @@ def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
     flip = sum(x[:, j] << s for j, s in enumerate(shifts))
     parity = sum(z[:, j, None] * ((index >> s) & 1) for j, s in enumerate(shifts))
     phase = (1 - 2 * (parity & 1)) * _Y_PHASE[(x & z).sum(axis=1)][:, None]
-    flat = state[rows].reshape(len(rows), 1 << n)
+    flat = state[rows].reshape(len(rows), -1)
     gathered = np.take_along_axis(flat, index ^ flip[:, None], axis=1)
     state[rows] = (gathered * phase).reshape((len(rows),) + (2,) * n)
 
