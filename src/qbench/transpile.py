@@ -195,30 +195,33 @@ def _emit_1q(q: int, matrix: np.ndarray, out: list) -> None:
 def _expand_1q(out: list, family: str) -> list[Gate]:
     """`out` with each queued (qubit, 2x2) replaced by its Euler rotations, all
     angles from one `euler_zyz` call."""
-    euler = euler_zyz([item[1] for item in out if not isinstance(item, Gate)])
-    angles = zip(*(x.tolist() for x in euler[:3]))
+    alpha, beta, gamma, _ = euler_zyz([item[1] for item in out if not isinstance(item, Gate)])
+    # euler_zyz's beta is never negative, and Rz(a) Ry(b) Rz(g) also equals
+    # Rz(a - pi) Ry(-b) Rz(g + pi). That form shifts both outer Rz angles by
+    # pi, so it is taken where it drops more of them: a negative Ry stays one Ry.
+    outer = np.stack([gamma, alpha])
+    if family != "zyz":
+        outer += np.array([[-math.pi / 2], [math.pi / 2]])
+    flip = (np.abs(np.cos(outer / 2.0)) > _ANGLE_EPS).sum(axis=0) \
+        < (np.abs(np.sin(outer / 2.0)) > _ANGLE_EPS).sum(axis=0)
+    angles = zip(np.where(flip, alpha - math.pi, alpha).tolist(),
+                 np.where(flip, -beta, beta).tolist(),
+                 np.where(flip, gamma + math.pi, gamma).tolist())
     gates: list[Gate] = []
     for item in out:
         if isinstance(item, Gate):
             gates.append(item)
             continue
+        q = item[0]
         alpha, beta, gamma = next(angles)
-        # euler_zyz's beta is never negative, and Rz(a) Ry(b) Rz(g) equals
-        # Rz(a - pi) Ry(-b) Rz(g + pi): of the two forms, take the one with
-        # fewer rotations (the first on a tie), so a negative Ry stays one gate.
-        forms = [[(ctor, angle) for ctor, angle in _euler_rotations(family, a, b, g)
-                  if abs(math.sin(angle / 2.0)) > _ANGLE_EPS]
-                 for a, b, g in ((alpha, beta, gamma), (alpha - math.pi, -beta, gamma + math.pi))]
-        gates.extend(ctor(item[0], angle) for ctor, angle in min(forms, key=len))
+        if family == "zyz":
+            seq = [(Rz, gamma), (Ry, beta), (Rz, alpha)]
+        else:
+            seq = [(Rz, gamma - math.pi / 2), (Rx, beta), (Rz, alpha + math.pi / 2)]
+        for ctor, angle in seq:
+            if abs(math.sin(angle / 2.0)) > _ANGLE_EPS:
+                gates.append(ctor(q, angle))
     return gates
-
-
-def _euler_rotations(family: str, alpha: float, beta: float, gamma: float) -> list:
-    """(constructor, angle) of each rotation of Rz(alpha) Ry(beta) Rz(gamma) in
-    the device's rotation family, in circuit order."""
-    if family == "zyz":
-        return [(Rz, gamma), (Ry, beta), (Rz, alpha)]
-    return [(Rz, gamma - math.pi / 2), (Rx, beta), (Rz, alpha + math.pi / 2)]
 
 
 def _emit_cx(a: int, b: int, ent: GateKind | None, device: DeviceModel, out: list) -> None:
