@@ -154,7 +154,7 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
     ops: list[list] = []
     last: dict[int, int] = {}
     pending: dict[int, np.ndarray] = {}
-    fire: dict[tuple, list] = {}
+    sites_of: dict[tuple, list] = {}
 
     def emit(targets, unitary, sites=()):
         ops.append([targets, unitary, list(sites)])
@@ -167,9 +167,9 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
         sites = []
         if noise is not None:
             key = (gate.kind, gate.targets)
-            if key not in fire:
-                fire[key] = [s for s in gate_sites(noise, gate) if can_fire(s[1], offsets)]
-            sites = fire[key]
+            if key not in sites_of:
+                sites_of[key] = [s for s in gate_sites(noise, gate) if can_fire(s[1], offsets)]
+            sites = sites_of[key]
         if gate.kind is GateKind.PAULI:
             # The letters are 1q gates (the layer's sign is a global phase). A noisy
             # layer emits its targets' pending 1q ops; the last target's carries the draws.

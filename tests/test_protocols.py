@@ -115,7 +115,8 @@ class TestRb:
         NoiseModel.uniform(readout=0.05),
         NoiseModel.uniform(p1=0.01, p2=0.02, readout=0.02,
                            drift=DriftSchedule((0.0, 0.02), 0.01, SeedStream(122))),
-    ], ids=["noiseless", "uniform", "readout", "drift"])
+        NoiseModel.uniform(drift=DriftSchedule((0.0, 0.03))),
+    ], ids=["noiseless", "uniform", "readout", "drift", "drift_lifts_zero_rate"])
     def test_matches_reference_loop(self, noise, n_qubits):
         lengths, stream = [1, 3, 6], SeedStream(123, (n_qubits,))
         result = run_rb(COMPLETE4, noise, n_qubits, lengths, 3, 64, stream)
