@@ -15,7 +15,7 @@ from .circuits import circuit_stats
 from .device import DeviceModel
 from .errors import QbenchError
 from .noise import NoiseModel
-from .protocols import xeb_verify_device
+from .protocols import default_verification_width, xeb_verify_device
 from .qasm import emit_qasm, parse_qasm
 from .report import Report, RunConfig, render_report, run_benchmark_suite, self_verify_report
 from .rng import SeedStream
@@ -68,8 +68,7 @@ def verify(ctx, device_path, noise_1q, noise_2q, readout, use_device_noise,
     else:
         noise = None
     if n_qubits is None:
-        comp = device.connected_components()
-        n_qubits = min(6, len(comp[0]) if comp else 1)
+        n_qubits = default_verification_width(device)
     seed = ctx.obj.get("seed") or 0
     result = xeb_verify_device(device, noise, n_qubits, circuits, shots,
                                SeedStream(seed, (0,)), threshold=threshold)

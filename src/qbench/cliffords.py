@@ -2,7 +2,11 @@
 
 The group is enumerated once by breadth-first search over exact tableau keys
 (24 elements for n=1, 11520 for n=2), so sampling by uniform index is exactly
-uniform and every element carries a canonical shortest gate sequence.
+uniform and every element carries a canonical shortest gate sequence. The
+search runs on stacks: each level's frontier is held as stacked tableau bits,
+each generator is applied to the whole stack at once, and every candidate's
+key is cut from one array. New elements are numbered in frontier-major,
+generator-minor order, as a search one tableau at a time would number them.
 Inversion is a table lookup on the tableau key of the inverted sequence, with
 no floating-point hashing anywhere.
 """
@@ -15,7 +19,7 @@ import numpy as np
 
 from .circuits import CX, Gate, H, S, gate_unitary, inverse_gate
 from .errors import ValidationError
-from .stabilizer import StabilizerTableau, _push_frame, _sign_flips
+from .stabilizer import StabilizerTableau, _push_frame, _sign_flips, _stack_keys
 
 GROUP_SIZES = {1: 24, 2: 11520}
 
@@ -63,24 +67,37 @@ class CliffordGroup:
         if n not in _GENERATORS:
             raise ValidationError(f"clifford tables exist for 1 or 2 qubits, not {n}")
         self.n = n
-        elements: list[CliffordElement] = []
-        index_of: dict[bytes, int] = {}
+        gens = _GENERATORS[n]
         identity = StabilizerTableau(n)
-        frontier: list[tuple[StabilizerTableau, tuple[Gate, ...]]] = [(identity, ())]
-        index_of[identity.key()] = 0
-        elements.append(CliffordElement(0, (), identity.key()))
+        elements = [CliffordElement(0, (), identity.key())]
+        index_of = {identity.key(): 0}
+        # The frontier as stacks: x[q] and z[q] hold qubit q's bits and r the
+        # signs, each of shape (F, 2n), one tableau row per column.
+        x, z, r = identity.x.T[:, None], identity.z.T[:, None], identity.r[None]
+        frontier: list[tuple[Gate, ...]] = [()]
         while frontier:
-            next_frontier = []
-            for tab, gates in frontier:
-                for gen in _GENERATORS[n]:
-                    new = tab.copy()
-                    new.apply_gate(gen)
-                    key = new.key()
-                    if key not in index_of:
-                        idx = len(elements)
-                        index_of[key] = idx
-                        elements.append(CliffordElement(idx, gates + (gen,), key))
-                        next_frontier.append((new, gates + (gen,)))
+            xs, zs, rs = [], [], []
+            for gen in gens:
+                gx, gz = x.copy(), z.copy()
+                rs.append(r ^ _sign_flips(gx, gz, gen))
+                _push_frame(gx, gz, gen)
+                xs.append(gx)
+                zs.append(gz)
+            # Candidates in frontier-major, generator-minor order.
+            cx = np.stack(xs, axis=2).reshape(n, -1, 2 * n)
+            cz = np.stack(zs, axis=2).reshape(n, -1, 2 * n)
+            cr = np.stack(rs, axis=1).reshape(-1, 2 * n)
+            new: list[int] = []
+            next_frontier: list[tuple[Gate, ...]] = []
+            for c, key in enumerate(_stack_keys(cx, cz, cr)):
+                if key not in index_of:
+                    f, g = divmod(c, len(gens))
+                    gates = frontier[f] + (gens[g],)
+                    index_of[key] = len(elements)
+                    elements.append(CliffordElement(len(elements), gates, key))
+                    new.append(c)
+                    next_frontier.append(gates)
+            x, z, r = cx[:, new], cz[:, new], cr[new]
             frontier = next_frontier
         if len(elements) != GROUP_SIZES[n]:
             raise ValidationError(

@@ -12,11 +12,9 @@ import hashlib
 import json
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .circuits import Circuit, GateKind, PauliString, measure_all
 from .cliffords import clifford_group
@@ -270,24 +268,60 @@ class RbResult:
                    [it["survivals"] for it in items], config["shots"], record["seeds"])
 
 
+#: Levenberg-Marquardt limits of the RB fit: steps taken, and damping before a step is given up
+_FIT_MAX_STEPS = 1000
+_FIT_MAX_DAMPING = 1e16
+
+
 def fit_rb_decay(lengths: list[int], survival_means: list[float],
                  n_qubits: int) -> tuple[float, float, float, float]:
-    """(A, p, B, residual) least-squares fit of F(m) = A p^m + B, B seeded at 1/2^n."""
+    """(A, p, B, residual) least-squares fit of F(m) = A p^m + B in the box [0, 1]^3.
+
+    A local Levenberg-Marquardt search (More, LNM 630 (1978)) from A = 1 - 1/2^n,
+    p = 0.99, B = 1/2^n. Each step is clipped into the box, and a parameter
+    that sits at a bound with its gradient pointing out of the box is held
+    there for that step. The search stops when a step lowers the squared
+    residual by a relative 1e-15 or less, or when no step lowers it.
+    """
     dim = 1 << n_qubits
-
-    def model(m, amplitude, decay, offset):
-        return amplitude * decay ** m + offset
-
-    x = np.asarray(lengths, dtype=float)
+    m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival_means, dtype=float)
-    p0 = (1.0 - 1.0 / dim, 0.99, 1.0 / dim)
-    with warnings.catch_warnings():
-        # constant (noiseless-ceiling) data makes the covariance singular
-        warnings.simplefilter("ignore", OptimizeWarning)
-        params, _ = curve_fit(model, x, y, p0=p0,
-                              bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), maxfev=20000)
-    residual = float(np.sqrt(np.mean((model(x, *params) - y) ** 2)))
-    return float(params[0]), float(params[1]), float(params[2]), residual
+    theta = np.array([1.0 - 1.0 / dim, 0.99, 1.0 / dim])
+
+    def residuals(t: np.ndarray) -> np.ndarray:
+        return t[0] * t[1] ** m + t[2] - y
+
+    r = residuals(theta)
+    cost = float(r @ r)
+    damping = 0.1
+    for _ in range(_FIT_MAX_STEPS):
+        amplitude, decay, _ = theta
+        jac = np.stack([decay ** m, amplitude * m * decay ** np.maximum(m - 1, 0),
+                        np.ones_like(m)], axis=1)
+        grad = jac.T @ r
+        free = ~(((theta <= 0.0) & (grad > 0)) | ((theta >= 1.0) & (grad < 0)))
+        if cost == 0.0 or not free.any():
+            break
+        jf, gf = jac[:, free], grad[free]
+        normal = jf.T @ jf
+        while damping <= _FIT_MAX_DAMPING:
+            trial = theta.copy()
+            trial[free] = np.clip(
+                theta[free] - np.linalg.solve(normal + damping * np.eye(len(gf)), gf), 0.0, 1.0)
+            r_trial = residuals(trial)
+            cost_trial = float(r_trial @ r_trial)
+            if cost_trial < cost:
+                break
+            damping *= 10.0
+        else:
+            break  # no step lowers the residual: a minimum within rounding
+        converged = cost - cost_trial <= 1e-15 * cost
+        theta, r, cost = trial, r_trial, cost_trial
+        damping = max(damping / 10.0, 1e-12)
+        if converged:
+            break
+    residual = float(np.sqrt(np.mean(r ** 2)))
+    return float(theta[0]), float(theta[1]), float(theta[2]), residual
 
 
 def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
@@ -629,6 +663,18 @@ class XebVerifyResult:
         config = record["config"]
         return cls(config["n_qubits"], [it["alpha_tilde"] for it in record["items"]],
                    config["threshold"], config["shots"], record["seeds"])
+
+
+def default_verification_width(device: DeviceModel) -> int:
+    """XEB verification width when none is given: the largest even width up to
+    min(6, the largest component's size), or 1 on a device of lone qubits.
+
+    Layered model circuits of odd width can leave outcomes of ideal
+    probability zero, and XEB diverges on those.
+    """
+    comp = device.connected_components()
+    size = len(comp[0]) if comp else 1
+    return size if size < 2 else min(6, size) // 2 * 2
 
 
 def xeb_verify_device(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,

@@ -22,9 +22,9 @@ from .metrics import METRIC_TABLE, metric_record, static_device_metrics
 from .noise import NoiseModel
 from .protocols import (
     ClopsResult, CollisionTestResult, MirrorResult, QvResult, RbResult, ShadowsResult,
-    VolumetricTable, XebVerifyResult, counts_digest, run_clops, run_collision_test,
-    run_mirror_benchmark, run_quantum_volume, run_rb, run_volumetric, shadow_estimate,
-    xeb_verify_device,
+    VolumetricTable, XebVerifyResult, counts_digest, default_verification_width, run_clops,
+    run_collision_test, run_mirror_benchmark, run_quantum_volume, run_rb, run_volumetric,
+    shadow_estimate, xeb_verify_device,
 )
 from .randgen import qv_model_circuit
 from .rng import SeedStream
@@ -35,6 +35,7 @@ REPORT_SCHEMA = "report/1"
 RUNCFG_SCHEMA = "runcfg/1"
 
 AGG_TOL = 1e-9
+FIT_TOL = 1e-7
 
 #: keys whose values legitimately differ between identical runs
 VOLATILE_KEYS = frozenset({"date", "elapsed_seconds", "layers_per_second", "wall_seconds"})
@@ -209,8 +210,9 @@ class ProtocolSpec:
     needs_items: bool = True
     raw_item_key: str | None = None
     raw_aggregate: tuple[str, ...] = ()
-    #: tolerance on the numbers of the rebuilt aggregate; AGG_TOL elsewhere
-    aggregate_tol: float = AGG_TOL
+    #: the aggregate comes from an iterative fit: it is compared to FIT_TOL, and
+    #: only in a report of this version, since another version's fit may end elsewhere
+    fitted_aggregate: bool = False
 
 
 PROTOCOLS: dict[str, ProtocolSpec] = {
@@ -231,7 +233,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             e.get("metric", "hog"), int(e.get("shots", 1000)), stream, transpile=transpile)),
     "rb": ProtocolSpec(
         RbResult, "error_per_clifford", "error_per_clifford", raw_item_key="survivals",
-        aggregate_tol=1e-7,  # the aggregates come from an iterative least-squares fit
+        fitted_aggregate=True,
         run=lambda e, device, noise, stream, transpile: run_rb(
             device, noise, int(e.get("n_qubits", 1)), list(e.get("lengths", [2, 4, 8, 16, 32])),
             int(e.get("sequences_per_length", 20)), int(e.get("shots", 200)), stream)),
@@ -331,7 +333,7 @@ def run_benchmark_suite(config: RunConfig) -> Report:
     ver = config.verification
     verification = xeb_verify_device(
         device, noise,
-        _number("verification", ver, "n", int, min(6, comp_width)),
+        _number("verification", ver, "n", int, default_verification_width(device)),
         _number("verification", ver, "circuits", int, 10),
         _number("verification", ver, "shots", int, 5000),
         master.child(0),
@@ -530,11 +532,14 @@ def _differing_paths(stored, rebuilt, path: str, tol: float):
         yield path
 
 
-def _verify_record(record: dict, problems: list[str]) -> bool:
+def _verify_record(record: dict, problems: list[str], same_version: bool,
+                   uncompared: list[str]) -> bool:
     """Rebuild a protocol record from its raw fields with the code that built it,
     and report every field that differs.
 
-    Returns False when the record holds too little raw data to rebuild from.
+    A fitted aggregate of another version's report is not compared; the
+    record's name goes to `uncompared` instead. Returns False when the
+    record holds too little raw data to rebuild from.
     """
     spec = PROTOCOLS.get(record.get("protocol"))
     items = record.get("items")
@@ -552,7 +557,11 @@ def _verify_record(record: dict, problems: list[str]) -> bool:
         return True
     # keys the suite adds to a record (mode, repetition, ...) are not the result's
     for key, value in rebuilt.items():
-        tol = spec.aggregate_tol if key == "aggregate" else AGG_TOL
+        fitted = key == "aggregate" and spec.fitted_aggregate
+        if fitted and not same_version:
+            uncompared.append(where)
+            continue
+        tol = FIT_TOL if fitted else AGG_TOL
         for path in _differing_paths(record.get(key, _MISSING), value, key, tol):
             problems.append(f"{where}: {path} mismatch")
     return True
@@ -564,13 +573,18 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
     `reexecute > 0` additionally regenerates that many quantum-volume circuits
     from their seed ledger and compares freshly sampled counts hash-exactly.
     Seeded bits are reproducible only within one harness version, so a report
-    made by another version is not re-executed. Missing raw records, or a
-    skipped re-execution, yield "unverifiable" rather than failure.
+    made by another version is not re-executed, and its fitted RB aggregates
+    are not compared. Missing raw records, a skipped re-execution or an
+    uncompared aggregate yield "unverifiable" rather than failure.
     """
     doc = report.doc
+    version = doc.get("header", {}).get("harness_version")
+    same_version = version == __version__
+    versions = f"report made by qbench {version}, this is qbench {__version__}"
     problems: list[str] = []
     verified_any = False
     unverifiable: list[str] = []
+    uncompared: list[str] = []
 
     if doc.get("peak") and not doc.get("base"):
         problems.append("report contains a peak table without the mandatory base table")
@@ -579,24 +593,24 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
     for mode in ("base", "peak"):
         records.extend(doc.get(mode) or [])
     for record in records:
-        if _verify_record(record, problems):
+        if _verify_record(record, problems, same_version, uncompared):
             verified_any = True
         else:
             unverifiable.append(str(record.get("protocol")))
 
-    skipped = None
+    skipped: list[str] = []
+    if uncompared:
+        skipped.append(f"fitted aggregates not compared ({', '.join(uncompared)}): {versions}")
     if reexecute > 0:
-        version = doc.get("header", {}).get("harness_version")
-        if version == __version__:
+        if same_version:
             problems.extend(_reexecute_check(doc, reexecute))
         else:
-            skipped = (f"re-execution skipped: report made by qbench {version}, "
-                       f"this is qbench {__version__}")
+            skipped.append(f"re-execution skipped: {versions}")
 
     if problems:
         return VerifyOutcome(False, "discrepancies", problems)
     if skipped:
-        return VerifyOutcome(False, "unverifiable", [skipped])
+        return VerifyOutcome(False, "unverifiable", skipped)
     if not verified_any:
         return VerifyOutcome(False, "unverifiable",
                              [f"no recomputable records (skipped: {sorted(set(unverifiable))})"])

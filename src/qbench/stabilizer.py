@@ -57,7 +57,10 @@ class StabilizerTableau:
         return t
 
     def key(self) -> bytes:
-        """Exact canonical encoding; equal keys iff equal Clifford group elements."""
+        """Exact canonical encoding; equal keys iff equal Clifford group elements.
+
+        `_stack_keys` builds the same bytes for a stack of tableaux.
+        """
         return self.x.tobytes() + self.z.tobytes() + self.r.tobytes()
 
     def apply_gate(self, gate: Gate) -> None:
@@ -119,6 +122,13 @@ class StabilizerTableau:
             picks = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
             out ^= (picks @ basis) & 1
         return out
+
+
+def _stack_keys(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> list[bytes]:
+    """`StabilizerTableau.key()` of each tableau in a stack, with x[q], z[q] and r of shape (F, 2n)."""
+    rows = [np.moveaxis(m, 0, -1).reshape(r.shape[0], -1) for m in (x, z)]
+    packed = np.ascontiguousarray(np.concatenate(rows + [r], axis=1))
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
 def _rowmult_phase(xh, zh, rh, xi, zi, ri) -> np.uint8:

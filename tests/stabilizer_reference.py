@@ -4,13 +4,15 @@ It draws exactly what `qbench.stabilizer.stabilizer_sample` draws (every gate's
 errors for all shots, then each shot's outcome picks in shot order, then the
 readout flips), but reads each shot's outcome from its own noisy tableau. It
 is slow and obviously right, so the Pauli-frame sampler is checked against it
-count for count.
+count for count. The Clifford group search below does the same for the stacked
+enumeration in `qbench.cliffords`.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from qbench.circuits import Circuit, GateKind, PauliLayer
+from qbench.circuits import Circuit, Gate, GateKind, PauliLayer
+from qbench.cliffords import _GENERATORS
 from qbench.distributions import SampleSet
 from qbench.noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
 from qbench.stabilizer import StabilizerTableau, _sample_set, evolve_tableau
@@ -49,3 +51,28 @@ def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
     for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
         bits[:, q] ^= flips
     return _sample_set(bits, measured)
+
+
+def reference_clifford_elements(n: int) -> list[tuple[tuple[Gate, ...], bytes]]:
+    """(gates, key) of each Clifford group element, by breadth-first search one tableau at a time.
+
+    New elements are numbered in frontier-major, generator-minor order.
+    """
+    gens = _GENERATORS[n]
+    identity = StabilizerTableau(n)
+    elements = [((), identity.key())]
+    seen = {identity.key()}
+    frontier: list[tuple[StabilizerTableau, tuple[Gate, ...]]] = [(identity, ())]
+    while frontier:
+        next_frontier = []
+        for tab, gates in frontier:
+            for gen in gens:
+                new = tab.copy()
+                new.apply_gate(gen)
+                key = new.key()
+                if key not in seen:
+                    seen.add(key)
+                    elements.append((gates + (gen,), key))
+                    next_frontier.append((new, gates + (gen,)))
+        frontier = next_frontier
+    return elements

@@ -9,8 +9,9 @@ from qbench.device import DeviceModel
 from qbench.errors import ValidationError
 from qbench.noise import DriftSchedule, NoiseModel
 from qbench.protocols import (
-    collision_shots, run_clops, run_collision_test, run_mirror_benchmark,
-    run_quantum_volume, run_rb, run_volumetric, shadow_estimate, xeb_verify_device,
+    collision_shots, default_verification_width, fit_rb_decay, run_clops, run_collision_test,
+    run_mirror_benchmark, run_quantum_volume, run_rb, run_volumetric, shadow_estimate,
+    xeb_verify_device,
 )
 from qbench.rng import SeedStream
 
@@ -84,6 +85,87 @@ class TestVolumetric:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValidationError):
             run_volumetric(COMPLETE4, None, "square", [2], "fidelity", 100, SeedStream(1))
+
+
+#: (lengths, survival means, n_qubits, (A, p, B, RMS residual)) as scipy's
+#: bounded `curve_fit` fitted them from the same start (qbench 0.3.0): three
+#: edge cases (a stall point for a lightly damped clipped search, two lengths
+#: for three parameters, constant survivals), then 27 seeded synthetic decays.
+CURVE_FIT_CASES = [
+    ([4, 32, 64], [0.771, 0.523, 0.487], 1,
+     (0.3818659607012248, 0.9320967803179812, 0.4827595158143865, 7.516256402347329e-13)),
+    ([1, 2], [0.97, 0.95], 2,
+     (0.7412731562352508, 0.9722493703839951, 0.24929760778233193, 2.8308259533709863e-08)),
+    ([1, 2, 4], [1.0, 1.0, 1.0], 2,
+     (0.6565033739331677, 0.999997234642058, 0.3435008609158824, 2.264272307512064e-06)),
+    ([1, 5, 10, 20, 50], [0.7597, 0.368, 0.2634, 0.2473, 0.2599], 2,
+     (0.7382869224585359, 0.68882547197606, 0.2514152732115157, 0.005106303298065891)),
+    ([0, 1, 2, 4], [0.6686, 0.5873, 0.5467, 0.4752], 2,
+     (0.2572969968064462, 0.71475230450111, 0.4095005375920886, 0.004351042167628071)),
+    ([1, 3, 9], [0.5929, 0.6723, 0.5459], 1,
+     (0.6441072810300966, 0.9848678806319768, 6.9711660213994635e-12, 0.0416769679475922)),
+    ([4, 32, 64], [0.5661, 0.2181, 0.1272], 1,
+     (0.5641629607027255, 0.951226792988873, 0.1042075455374076, 7.579342683673939e-14)),
+    ([4, 32, 64], [0.6714, 0.605, 0.5117], 2,
+     (0.6878153137805988, 0.9955349469112628, 1.785102932052565e-14, 0.00635505808497144)),
+    ([1, 2, 4, 8, 16], [0.5728, 0.5496, 0.5186, 0.4652, 0.3748], 1,
+     (0.4231769797289505, 0.9572887449127592, 0.16475828781692559, 0.0021878708328166405)),
+    ([1, 10, 50, 100], [0.915, 0.5471, 0.2935, 0.3165], 2,
+     (0.678279722816903, 0.9022412812214883, 0.3034221821828449, 0.00954916862893989)),
+    ([1, 2, 4, 8, 16, 32, 64, 128], [0.7965, 0.75, 0.6539, 0.5233, 0.2964, 0.3546, 0.4064, 0.3336], 2,
+     (0.5546126880400737, 0.8469697935578449, 0.34664934015307386, 0.041082923419624245)),
+    ([1, 2], [0.7646, 0.6344], 1,
+     (0.5892005464393203, 0.6703608859405039, 0.3696229345786834, 6.577564604830506e-08)),
+    ([2, 4, 8, 16, 32, 64], [0.7785, 0.7916, 0.7715, 0.7666, 0.6166, 0.4558], 1,
+     (0.8241117369808051, 0.9912587773527785, 2.2165904251029309e-13, 0.025112331315249113)),
+    ([1, 2], [0.4186, 0.2481], 2,
+     (0.6866522581097947, 0.45883943517776865, 0.10353673983167777, 1.2817051017433154e-07)),
+    ([1, 10, 50, 100], [0.7144, 0.4374, 0.3751, 0.4046], 2,
+     (0.40177281744079524, 0.8077938410841561, 0.38985227469841816, 0.010433121128781492)),
+    ([1, 3, 9], [0.2703, 0.1951, 0.0862], 2,
+     (0.2834090402031757, 0.823210523933162, 0.036994695544908314, 2.812548745359863e-11)),
+    ([1, 10, 50, 100], [0.9476, 0.8226, 0.5858, 0.4539], 1,
+     (0.5469833475976231, 0.977212302708677, 0.40342440786388273, 0.010410797371396158)),
+    ([4, 32, 64], [0.9702, 0.8734, 0.6671], 1,
+     (0.9999999999999999, 0.9939518421999239, 0.01096146429306375, 0.02758237799464992)),
+    ([1, 10, 50, 100], [0.944, 0.6483, 0.2791, 0.2586], 2,
+     (0.7370828965358893, 0.9390780090058245, 0.25287720465568025, 0.0037600201698099202)),
+    ([2, 4, 8, 16, 32, 64], [1.0, 1.0, 0.9996, 0.9993, 0.9927, 0.9917], 2,
+     (0.013449892520141294, 0.9785354132144856, 0.9878678066925063, 0.0011742648803830457)),
+    ([1, 2, 4, 8, 16], [0.929, 0.888, 0.7997, 0.7, 0.6305], 2,
+     (0.3908767316786303, 0.8413123739676592, 0.6046259390556343, 0.0038634988111054393)),
+    ([0, 1, 2, 4], [1.0, 0.9928, 0.9915, 0.9584], 2,
+     (0.9999947773213641, 0.9895459509046323, 0.0037846010387574468, 0.005121062941708649)),
+    ([1, 10, 50, 100], [0.9965, 0.9499, 0.8399, 0.7491], 2,
+     (0.350515942760168, 0.9879448108853928, 0.6458167663546709, 0.004177348326215477)),
+    ([1, 2], [0.9685, 0.9123], 2,
+     (0.7422435235084838, 0.9174727326736178, 0.28751185367737364, 4.735906521329845e-08)),
+    ([1, 3, 9], [0.9966, 0.9863, 0.9676], 1,
+     (0.05086468683873647, 0.8769815019585671, 0.9519926105444108, 9.97856040087886e-11)),
+    ([4, 32, 64], [0.4061, 0.1997, 0.1767], 1,
+     (0.3180077819525437, 0.9235536264038509, 0.17474109535552126, 9.975365717805173e-15)),
+    ([2, 4, 8, 16, 32, 64], [0.6946, 0.5379, 0.4653, 0.4495, 0.4575, 0.4411], 2,
+     (0.6689471163909475, 0.6041974119155455, 0.4500765852896976, 0.00498895583558838)),
+    ([1, 2, 4, 8, 16], [0.7584, 0.8745, 0.7317, 0.7233, 0.9101], 1,
+     (0.3924310008804866, 0.9999999999999991, 0.40716899752702723, 0.07739483186880208)),
+    ([4, 32, 64], [0.747, 0.4133, 0.3979], 1,
+     (0.5437548927122519, 0.8954276366065181, 0.39743723925257024, 5.435113480195802e-09)),
+    ([4, 32, 64], [0.7088, 0.6285, 0.446], 1,
+     (0.7465284123421286, 0.9927315331843447, 1.5041116216540406e-24, 0.026761388354085862)),
+]
+
+
+class TestRbFit:
+    @pytest.mark.parametrize("lengths, means, n_qubits, reference", CURVE_FIT_CASES)
+    def test_fits_at_least_as_well_as_curve_fit(self, lengths, means, n_qubits, reference):
+        fit = fit_rb_decay(lengths, means, n_qubits)
+        assert all(math.isfinite(v) for v in fit)
+        assert all(0.0 <= v <= 1.0 for v in fit[:3])
+        assert fit_rb_decay(lengths, means, n_qubits) == fit
+        a, p, b, residual = fit
+        model = a * p ** np.asarray(lengths, dtype=float) + b
+        assert residual == pytest.approx(float(np.sqrt(np.mean((model - means) ** 2))), abs=1e-15)
+        assert residual <= reference[3] + 1e-12
 
 
 class TestRb:
@@ -246,6 +328,15 @@ class TestCollisionTest:
 
 
 class TestXebVerify:
+    @pytest.mark.parametrize("device, width", [
+        (DeviceModel.linear(1), 1), (DeviceModel.linear(2), 2), (DeviceModel.linear(3), 2),
+        (DeviceModel.linear(5), 4), (DeviceModel.linear(6), 6), (DeviceModel.linear(9), 6),
+        (DeviceModel(n_qubits=6, working=(), edges=((0, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0)),
+                     native_gates=frozenset()), 2),
+    ])
+    def test_default_width_is_even(self, device, width):
+        assert default_verification_width(device) == width
+
     def test_noiseless_verified(self):
         result = xeb_verify_device(COMPLETE5, None, 5, 8, 20_000, SeedStream(124),
                                    threshold=0.8)

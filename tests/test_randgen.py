@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from stabilizer_reference import reference_clifford_elements
 
-from qbench.circuits import CLIFFORD_KINDS, Circuit, GateKind, T, measure_all
+from qbench.circuits import CLIFFORD_KINDS, Circuit, GateKind, T, inverse_gate, measure_all
 from qbench.cliffords import clifford_group
 from qbench.errors import NonCliffordError, ValidationError
 from qbench.randgen import (
@@ -12,7 +13,7 @@ from qbench.randgen import (
     volumetric_family,
 )
 from qbench.rng import SeedStream
-from qbench.stabilizer import stabilizer_sample
+from qbench.stabilizer import StabilizerTableau, stabilizer_sample
 from qbench.statevector import run_statevector
 
 
@@ -106,6 +107,22 @@ class TestCliffordSampling:
     def test_group_sizes(self):
         assert len(clifford_group(1)) == 24
         assert len(clifford_group(2)) == 11520
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stacked_enumeration_matches_reference_search(self, n):
+        group = clifford_group(n)
+        reference = reference_clifford_elements(n)
+        assert [(e.gates, e.key) for e in group.elements] == reference
+        assert [e.index for e in group.elements] == list(range(len(reference)))
+        index_of = {key: i for i, (_, key) in enumerate(reference)}
+        rng = SeedStream(41, (n,)).generator()
+        for _ in range(50):
+            picks = rng.integers(0, len(reference), size=int(rng.integers(1, 6)))
+            gates = tuple(g for i in picks for g in reference[i][0])
+            tab = StabilizerTableau(n)
+            for g in reversed(gates):
+                tab.apply_gate(inverse_gate(g))
+            assert group.inverse_index(gates) == index_of[tab.key()]
 
     def test_uniformity_chi_square_24_classes(self):
         # 24000 draws: each class expects 1000 with sigma = sqrt(np(1-p)).

@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,6 +370,35 @@ class TestCli:
         bad_path.write_text(canonical_json(doc))
         assert main(["check", "--report", str(bad_path)]) == 3
 
+    def test_verify_default_width_is_even(self, tmp_path, capsys):
+        # At width 3 some seeds draw a circuit with zero ideal probabilities.
+        device_path = tmp_path / "dev.json"
+        DeviceModel.linear(3).save(device_path)
+        code = main(["--seed", "2", "verify", "--device", str(device_path),
+                     "--circuits", "3", "--shots", "500", "--threshold", "0.3"])
+        out = capsys.readouterr()
+        assert "zero entries" not in out.err
+        assert code == 0
+        assert json.loads(out.out)["verified"]
+
+    def test_run_default_verification_width_is_even(self, tmp_path):
+        device_path = tmp_path / "dev.json"
+        DeviceModel.linear(3).save(device_path)
+        config = {
+            "schema": "runcfg/1",
+            "device": str(device_path),
+            "protocols": [{"name": "mirror", "widths": [3], "depths": [2],
+                           "randomizations": 1, "shots": 20}],
+            "verification": {"circuits": 3, "shots": 500, "threshold": 0.3},
+            "noise": {"ideal": True},
+            "master_seed": 2,
+        }
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        report_path = tmp_path / "report.json"
+        assert main(["--out", str(report_path), "run", "--config", str(config_path)]) == 0
+        assert Report.load(report_path).doc["verification"]["config"]["n_qubits"] == 2
+
     @pytest.mark.parametrize("entry", [{"shots": 10}, {"name": 3}, "rb"])
     def test_malformed_protocol_entry_is_a_usage_error(self, tmp_path, entry):
         doc = make_config().to_json()
@@ -496,6 +529,32 @@ class TestCli:
         assert main(check) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
+    def test_rb_fit_of_another_version_is_unverifiable(self, full_report, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        check = ["check", "--report", str(report_path)]
+        doc = _only(full_report.doc, "rb")
+        _record(doc, "rb")["aggregate"]["decay"] += 1e-6
+        Report(doc).save(report_path)
+        assert main(check) == 3
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["status"] == "discrepancies"
+        assert any("decay mismatch" in d for d in outcome["discrepancies"])
+
+        doc["header"]["harness_version"] = "0.3.0"
+        Report(doc).save(report_path)
+        assert main(check) == 3
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["status"] == "unverifiable"
+        assert "base:rb#rep0" in outcome["discrepancies"][0]
+        assert "0.3.0" in outcome["discrepancies"][0]
+        assert qbench.__version__ in outcome["discrepancies"][0]
+
+        # the raw-derived fields are still compared
+        _record(doc, "rb")["items"][0]["mean"] += 1e-6
+        Report(doc).save(report_path)
+        assert main(check) == 3
+        assert json.loads(capsys.readouterr().out)["status"] == "discrepancies"
+
     def test_check_reexecute_skips_errored_records(self, tmp_path):
         doc = make_config().to_json()
         doc["protocols"] = [
@@ -519,6 +578,15 @@ class TestCli:
         bad = tmp_path / "bad.qasm"
         bad.write_text("OPENQASM 2.0;\nqreg q[1];\nfrobnicate q[0];\n")
         assert main(["parse", "--qasm", str(bad)]) == 1
+
+
+def test_cli_imports_no_scipy():
+    code = ("import sys, qbench.cli, qbench.report; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(qbench.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 class TestRunConfig:
