@@ -33,7 +33,7 @@ from .transpile import (  # noqa: F401
 )
 from .protocols import (  # noqa: F401
     ClopsResult, CollisionTestResult, MirrorResult, QvResult, RbResult, ShadowEstimate,
-    VolumetricTable, XebVerifyResult, run_clops, run_collision_test,
+    VolumetricTable, XebVerifyResult, qv_item, run_clops, run_collision_test,
     run_mirror_benchmark, run_quantum_volume, run_rb, run_volumetric, shadow_estimate,
     xeb_verify_device,
 )

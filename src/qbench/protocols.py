@@ -33,7 +33,7 @@ from .randgen import (
 from .rng import SeedStream
 from .stabilizer import stabilizer_sample
 from .statevector import (
-    DEFAULT_WIDTH_CAP, _sample_plan, _sample_rows, apply_unitary, ideal_distribution,
+    STATEVECTOR_WIDTH_CAP, _sample_plan, _sample_rows, apply_unitary, ideal_distribution,
     run_statevector, sample_counts,
 )
 from .transpile import TranspileConfig, run_pipeline
@@ -45,10 +45,12 @@ QV_PASS_THRESHOLD = 2.0 / 3.0
 QV_MIN_CIRCUITS = 100
 
 
-def _transpile(circuit: Circuit, device: DeviceModel,
-               config: TranspileConfig | None) -> Circuit:
-    out, _ = run_pipeline(circuit, device, config or TranspileConfig())
-    return out
+def _execute(circuit: Circuit, device: DeviceModel, noise: NoiseModel | None, shots: int,
+             rng: np.random.Generator, transpile: TranspileConfig | None = None) -> SampleSet:
+    """`shots` samples of `circuit` measured on every qubit, lowered onto `device`
+    by the `transpile` pipeline (the base pipeline when None), under `noise`."""
+    executed, _ = run_pipeline(measure_all(circuit), device, transpile or TranspileConfig())
+    return sample_counts(executed, shots, noise, rng)
 
 
 def counts_digest(samples: SampleSet) -> str:
@@ -124,10 +126,23 @@ def qv_lower_bound(hogs: list[float]) -> float:
     return float(arr.mean() - Z_975 * arr.std(ddof=1) / math.sqrt(arr.size))
 
 
+def qv_item(device: DeviceModel, noise: NoiseModel | None, width: int, k: int, shots: int,
+            stream: SeedStream, transpile: TranspileConfig | None = None
+            ) -> tuple[Circuit, SampleSet]:
+    """The k-th model circuit of `width` in a quantum-volume run on `stream`, and its samples.
+
+    The item's substream is stream.child(width, k): its child 0 generates the
+    circuit and its child 1 seeds the sampler. Re-execution calls this too,
+    so a report is checked against the code that made it.
+    """
+    item = stream.child(width, k)
+    circuit = qv_model_circuit(width, item.child(0))
+    return circuit, _execute(circuit, device, noise, shots, item.child(1).generator(), transpile)
+
+
 def run_quantum_volume(device: DeviceModel, noise: NoiseModel | None, max_width: int,
                        circuits_per_width: int, shots: int, stream: SeedStream,
-                       strict: bool = True, transpile: TranspileConfig | None = None,
-                       cap: int = DEFAULT_WIDTH_CAP) -> QvResult:
+                       strict: bool = True, transpile: TranspileConfig | None = None) -> QvResult:
     """Heavy-output test per square width; QV = 2^D for the largest passing prefix.
 
     A width passes when the one-sided 97.5% lower confidence bound of the mean
@@ -136,9 +151,9 @@ def run_quantum_volume(device: DeviceModel, noise: NoiseModel | None, max_width:
     """
     if max_width < 2:
         raise ValidationError("quantum volume starts at width 2")
-    if max_width > cap:
-        raise ValidationError(
-            f"width {max_width} is not practical for the exact heavy-set oracle (cap {cap})")
+    if max_width > STATEVECTOR_WIDTH_CAP:
+        raise ValidationError(f"width {max_width} is not practical for the exact heavy-set "
+                              f"oracle (cap {STATEVECTOR_WIDTH_CAP})")
     if circuits_per_width < QV_MIN_CIRCUITS and strict:
         raise ValidationError(
             f"{circuits_per_width} circuits/width < {QV_MIN_CIRCUITS}; pass strict=False "
@@ -148,12 +163,8 @@ def run_quantum_volume(device: DeviceModel, noise: NoiseModel | None, max_width:
         hogs = []
         hashes = []
         for k in range(circuits_per_width):
-            item = stream.child(width, k)
-            circuit = qv_model_circuit(width, item.child(0))
-            p_ideal = ideal_distribution(circuit, cap=cap)
-            executed = _transpile(measure_all(circuit), device, transpile)
-            samples = sample_counts(executed, shots, noise, item.child(1).generator(), cap=cap)
-            hogs.append(hog_probability(samples, p_ideal))
+            circuit, samples = qv_item(device, noise, width, k, shots, stream, transpile)
+            hogs.append(hog_probability(samples, ideal_distribution(circuit)))
             if k == 0:
                 hashes.append(counts_digest(samples))
         records.append(QvWidthRecord(width, hogs, hashes))
@@ -201,17 +212,15 @@ class VolumetricTable:
 def run_volumetric(device: DeviceModel, noise: NoiseModel | None,
                    shape: VolumetricShape | str, widths: list[int], metric: str,
                    shots: int, stream: SeedStream,
-                   transpile: TranspileConfig | None = None,
-                   cap: int = DEFAULT_WIDTH_CAP) -> VolumetricTable:
+                   transpile: TranspileConfig | None = None) -> VolumetricTable:
     """One metric evaluated over a (width, depth) grid of one volumetric class."""
     if metric not in ("hog", "hellinger", "l1", "xeb"):
         raise ValidationError(f"unknown volumetric metric {metric!r}")
     rows = []
     for width, depth, circuit in volumetric_family(shape, widths, stream.child(0)):
-        p_ideal = ideal_distribution(circuit, cap=cap)
-        executed = _transpile(measure_all(circuit), device, transpile)
-        samples = sample_counts(executed, shots, noise,
-                                stream.child(1, width, depth).generator(), cap=cap)
+        p_ideal = ideal_distribution(circuit)
+        samples = _execute(circuit, device, noise, shots,
+                           stream.child(1, width, depth).generator(), transpile)
         if metric == "hog":
             value = hog_probability(samples, p_ideal)
         elif metric == "hellinger":
@@ -470,8 +479,7 @@ class ClopsResult:
 
 def run_clops(device: DeviceModel, noise: NoiseModel | None, width: int,
               layers_total: int, batch: int, stream: SeedStream, shots: int = 100,
-              transpile: TranspileConfig | None = None,
-              cap: int = DEFAULT_WIDTH_CAP) -> ClopsResult:
+              transpile: TranspileConfig | None = None) -> ClopsResult:
     """Model-circuit layers per second, wall clock, including generation,
     transpilation, execution, and readout. The number benchmarks this host's
     simulator, so results are only comparable on equal machines."""
@@ -486,8 +494,7 @@ def run_clops(device: DeviceModel, noise: NoiseModel | None, width: int,
                 break
             item = stream.child(k)
             circuit = qv_model_circuit(width, item.child(0))
-            transpiled = _transpile(measure_all(circuit), device, transpile)
-            sample_counts(transpiled, shots, noise, item.child(1).generator(), cap=cap)
+            _execute(circuit, device, noise, shots, item.child(1).generator(), transpile)
             executed += circuit.depth
             k += 1
     elapsed = time.perf_counter() - start
@@ -534,7 +541,7 @@ class ShadowsResult:
 
 
 def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: int,
-                    stream: SeedStream, cap: int = DEFAULT_WIDTH_CAP) -> list[ShadowEstimate]:
+                    stream: SeedStream) -> list[ShadowEstimate]:
     """Classical-shadow estimates of Pauli observables on the state prep|0...0>.
 
     Each snapshot applies an independent uniformly random single-qubit
@@ -552,7 +559,7 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
     for obs in observables:
         if obs.n_qubits != n:
             raise ValidationError("observable width does not match the preparation circuit")
-    psi = run_statevector(prep, cap=cap).amps
+    psi = run_statevector(prep).amps
     group = clifford_group(1)
     rng = stream.generator()
     sums = np.zeros(len(observables))
@@ -616,14 +623,13 @@ def collision_shots(n_qubits: int) -> int:
 
 
 def run_collision_test(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
-                       stream: SeedStream, transpile: TranspileConfig | None = None,
-                       cap: int = DEFAULT_WIDTH_CAP) -> CollisionTestResult:
+                       stream: SeedStream, transpile: TranspileConfig | None = None
+                       ) -> CollisionTestResult:
     """Collision-volume test on a fresh random model circuit; pass iff
     delta_hat >= 1/2 with the prescribed 2^(n/2+5) shot budget."""
     shots = collision_shots(n_qubits)
     circuit = layered_model_circuit(n_qubits, n_qubits, stream.child(0))
-    executed = _transpile(measure_all(circuit), device, transpile)
-    samples = sample_counts(executed, shots, noise, stream.child(1).generator(), cap=cap)
+    samples = _execute(circuit, device, noise, shots, stream.child(1).generator(), transpile)
     return CollisionTestResult(n_qubits, shots, collision_volume(samples), stream.as_record())
 
 
@@ -679,8 +685,7 @@ def default_verification_width(device: DeviceModel) -> int:
 
 def xeb_verify_device(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
                       circuits: int, shots: int, stream: SeedStream,
-                      threshold: float = 0.9, transpile: TranspileConfig | None = None,
-                      cap: int = DEFAULT_WIDTH_CAP) -> XebVerifyResult:
+                      threshold: float = 0.9) -> XebVerifyResult:
     """Cross-entropy verification gate: mean alpha over fresh random circuits
     must reach the threshold before a benchmark run proceeds."""
     if circuits < 1:
@@ -689,8 +694,7 @@ def xeb_verify_device(device: DeviceModel, noise: NoiseModel | None, n_qubits: i
     for k in range(circuits):
         item = stream.child(k)
         circuit = layered_model_circuit(n_qubits, n_qubits, item.child(0))
-        p_ideal = ideal_distribution(circuit, cap=cap)
-        executed = _transpile(measure_all(circuit), device, transpile)
-        samples = sample_counts(executed, shots, noise, item.child(1).generator(), cap=cap)
+        p_ideal = ideal_distribution(circuit)
+        samples = _execute(circuit, device, noise, shots, item.child(1).generator())
         alphas.append(float(xeb_alpha(samples, p_ideal).alpha_tilde))
     return XebVerifyResult(n_qubits, alphas, threshold, shots, stream.as_record())

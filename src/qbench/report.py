@@ -22,13 +22,14 @@ from .metrics import METRIC_TABLE, metric_record, static_device_metrics
 from .noise import NoiseModel
 from .protocols import (
     ClopsResult, CollisionTestResult, MirrorResult, QvResult, RbResult, ShadowsResult,
-    VolumetricTable, XebVerifyResult, counts_digest, default_verification_width, run_clops,
-    run_collision_test, run_mirror_benchmark, run_quantum_volume, run_rb, run_volumetric,
-    shadow_estimate, xeb_verify_device,
+    VolumetricTable, XebVerifyResult, counts_digest, default_verification_width, qv_item,
+    run_clops, run_collision_test, run_mirror_benchmark, run_quantum_volume, run_rb,
+    run_volumetric, shadow_estimate, xeb_verify_device,
 )
 from .randgen import qv_model_circuit
 from .rng import SeedStream
-from .statevector import sample_counts
+# Not called here since re-execution goes through `qv_item`, but bench/tracing.py wraps this binding.
+from .statevector import sample_counts  # noqa: F401
 from .transpile import TranspileConfig, run_pipeline
 
 REPORT_SCHEMA = "report/1"
@@ -532,6 +533,10 @@ def _differing_paths(stored, rebuilt, path: str, tol: float):
         yield path
 
 
+def _record_name(record: dict) -> str:
+    return f"{record.get('mode', '?')}:{record.get('protocol')}#rep{record.get('repetition', '?')}"
+
+
 def _verify_record(record: dict, problems: list[str], same_version: bool,
                    uncompared: list[str]) -> bool:
     """Rebuild a protocol record from its raw fields with the code that built it,
@@ -549,7 +554,7 @@ def _verify_record(record: dict, problems: list[str], same_version: bool,
         return False
     if any(key not in record.get("aggregate", {}) for key in spec.raw_aggregate):
         return False
-    where = f"{record.get('mode', '?')}:{record['protocol']}#rep{record.get('repetition', '?')}"
+    where = _record_name(record)
     try:
         rebuilt = spec.result.from_record(record).to_record()
     except Exception as exc:  # an edited record may not rebuild at all
@@ -618,25 +623,34 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
 
 
 def _reexecute_check(doc: dict, count: int) -> list[str]:
+    """Re-run circuit 0 of up to `count` base quantum-volume widths and compare
+    sample hashes. Records that are not QV records with items are skipped; a
+    header or QV record that cannot be re-executed is a problem."""
+    header = doc.get("header", {})
+    try:
+        device = DeviceModel.from_json(header["device"])
+        noise = build_noise(RunConfig(device=device, protocols=[], noise=header.get("noise", {})))
+    except Exception as exc:  # an edited header may not describe a device at all
+        return [f"re-execution: header cannot be read ({type(exc).__name__}: {exc})"]
     problems: list[str] = []
-    device = DeviceModel.from_json(doc["header"]["device"])
-    noise = build_noise(RunConfig(device=device, protocols=[], noise=doc["header"].get("noise", {})))
     done = 0
     for record in doc.get("base") or []:
-        if record["protocol"] != "quantum_volume" or "error" in record or done >= count:
+        if record.get("protocol") != "quantum_volume" or "error" in record \
+                or not record.get("items") or done >= count:
             continue
-        stream = SeedStream.from_record(record["seeds"])
-        shots = int(record["config"]["shots"])
-        for it in record["items"]:
-            if done >= count:
-                break
-            if not it.get("sample_hashes"):
-                continue
-            item = stream.child(it["width"], 0)
-            circuit = qv_model_circuit(it["width"], item.child(0))
-            executed, _ = run_pipeline(measure_all(circuit), device, TranspileConfig())
-            samples = sample_counts(executed, shots, noise, item.child(1).generator())
-            if counts_digest(samples) != it["sample_hashes"][0]:
-                problems.append(f"re-execution: width {it['width']} circuit 0 sample hash mismatch")
-            done += 1
+        try:
+            stream = SeedStream.from_record(record["seeds"])
+            shots = int(record["config"]["shots"])
+            for it in record["items"]:
+                if done >= count:
+                    break
+                if not it.get("sample_hashes"):
+                    continue
+                _, samples = qv_item(device, noise, it["width"], 0, shots, stream)
+                if counts_digest(samples) != it["sample_hashes"][0]:
+                    problems.append(f"re-execution: width {it['width']} circuit 0 sample hash mismatch")
+                done += 1
+        except Exception as exc:  # an edited record may not re-execute at all
+            problems.append(f"re-execution: {_record_name(record)} cannot be re-executed "
+                            f"({type(exc).__name__}: {exc})")
     return problems

@@ -75,43 +75,23 @@ class StabilizerTableau:
 
         Bit vectors are indexed by qubit; an empty basis means the outcome is
         deterministic. Derivation: stabilizer rows with no X part force the
-        parity of the outcome on their Z support, everything else is free.
+        parity of the outcome on their Z support, everything else is free. So
+        the rows are reduced on their X parts, then those left with no X part
+        on their Z parts, whose pivot columns are fixed by the row signs.
         """
         n = self.n
-        sx = self.x[n:].copy()
-        sz = self.z[n:].copy()
-        sr = self.r[n:].copy()
-
-        # Row-reduce on X parts with sign-exact row multiplication.
-        pivots: list[tuple[int, int]] = []
-        row = 0
-        for col in range(n):
-            pivot = None
-            for i in range(row, n):
-                if sx[i, col]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            if pivot != row:
-                for m in (sx, sz):
-                    m[[pivot, row]] = m[[row, pivot]]
-                sr[[pivot, row]] = sr[[row, pivot]]
-            for i in range(n):
-                if i != row and sx[i, col]:
-                    sr[i] = _rowmult_phase(sx[i], sz[i], sr[i], sx[row], sz[row], sr[row])
-                    sx[i] ^= sx[row]
-                    sz[i] ^= sz[row]
-            pivots.append((row, col))
-            row += 1
-
-        k = row  # rank of the X block = number of random outcome bits
-        z_rows = sz[k:]
-        z_par = sr[k:]
-
-        c0, basis = _gf2_solve(z_rows, z_par)
-        if basis.shape[0] != k:
+        x, z, r = self.x[n:].copy(), self.z[n:].copy(), self.r[n:].copy()
+        k = len(_row_reduce(x, z, r, x))  # rank of the X block = number of random outcome bits
+        x, z, r = x[k:], z[k:], r[k:]
+        fixed = _row_reduce(x, z, r, z)
+        if r[len(fixed):].any() or n - len(fixed) != k:
             raise ValidationError("inconsistent stabilizer outcome space")
+        c0 = np.zeros(n, dtype=np.uint8)
+        c0[fixed] = r[:len(fixed)]
+        free = [col for col in range(n) if col not in fixed]
+        basis = np.zeros((len(free), n), dtype=np.uint8)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, fixed] = z[:len(fixed)][:, free].T
         return c0, basis
 
     def sample_bits(self, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,57 +111,41 @@ def _stack_keys(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> list[bytes]:
     return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def _rowmult_phase(xh, zh, rh, xi, zi, ri) -> np.uint8:
-    """Sign bit of row h := row h * row i, mod-4 Pauli phase bookkeeping."""
+def _rowmult_phase(xh, zh, rh, xi, zi, ri) -> np.ndarray:
+    """Sign bits of the stacked rows h := row h * row i, mod-4 Pauli phase bookkeeping."""
     xh64 = xh.astype(np.int64)
     zh64 = zh.astype(np.int64)
-    g = np.zeros(xh.shape, dtype=np.int64)
     m_y = (xi == 1) & (zi == 1)
     m_x = (xi == 1) & (zi == 0)
     m_z = (xi == 0) & (zi == 1)
-    g[m_y] = (zh64 - xh64)[m_y]
-    g[m_x] = (zh64 * (2 * xh64 - 1))[m_x]
-    g[m_z] = (xh64 * (1 - 2 * zh64))[m_z]
-    total = (2 * int(rh) + 2 * int(ri) + int(g.sum())) % 4
-    if total not in (0, 2):
+    g = m_y * (zh64 - xh64) + m_x * (zh64 * (2 * xh64 - 1)) + m_z * (xh64 * (1 - 2 * zh64))
+    total = (2 * rh.astype(np.int64) + 2 * int(ri) + g.sum(axis=-1)) % 4
+    if np.any(total % 2):
         raise ValidationError("anticommuting rows multiplied in tableau reduction")
-    return np.uint8(total // 2)
+    return (total // 2).astype(np.uint8)
 
 
-def _gf2_solve(rows: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c, basis): rows @ x = parity over GF(2) iff x in c xor span(basis); rows may be empty."""
-    n = rows.shape[1]
-    a = np.concatenate([rows, parity.reshape(-1, 1)], axis=1).astype(np.uint8)
-    m = a.shape[0]
-    piv_cols: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = None
-        for i in range(row, m):
-            if a[i, col]:
-                pivot = i
-                break
-        if pivot is None:
+def _row_reduce(x: np.ndarray, z: np.ndarray, r: np.ndarray, block: np.ndarray) -> list[int]:
+    """Gauss-Jordan elimination, in place, of the Pauli rows (x, z, r) on the columns
+    of `block` (`x` or `z`), signs kept exact; returns the pivot columns in row order."""
+    pivots: list[int] = []
+    for col in range(block.shape[1]):
+        row = len(pivots)
+        hits = np.flatnonzero(block[row:, col])
+        if not hits.size:
             continue
-        a[[pivot, row]] = a[[row, pivot]]
-        for i in range(m):
-            if i != row and a[i, col]:
-                a[i] ^= a[row]
-        piv_cols.append(col)
-        row += 1
-    if np.any(a[row:, -1]):
-        raise ValidationError("inconsistent GF(2) system")
-    c = np.zeros(n, dtype=np.uint8)
-    for i, col in enumerate(piv_cols):
-        c[col] = a[i, -1]
-    free_cols = [col for col in range(n) if col not in piv_cols]
-    basis = np.zeros((len(free_cols), n), dtype=np.uint8)
-    for bi, fc in enumerate(free_cols):
-        basis[bi, fc] = 1
-        for ri, pc in enumerate(piv_cols):
-            if a[ri, fc]:
-                basis[bi, pc] = 1
-    return c, basis
+        pivot = row + int(hits[0])
+        if pivot != row:
+            for m in (x, z, r):
+                m[[pivot, row]] = m[[row, pivot]]
+        others = np.flatnonzero(block[:, col])
+        others = others[others != row]
+        if others.size:
+            r[others] = _rowmult_phase(x[others], z[others], r[others], x[row], z[row], r[row])
+            x[others] ^= x[row]
+            z[others] ^= z[row]
+        pivots.append(col)
+    return pivots
 
 
 def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:

@@ -42,7 +42,7 @@ from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
 from .noise import PAULI_BITS, NoiseModel, can_fire, draw_readout_flips, draw_site, gate_sites
 
-DEFAULT_WIDTH_CAP = 24
+STATEVECTOR_WIDTH_CAP = 24
 
 # Trajectory batches are chunked to keep peak memory near this many amplitudes.
 _CHUNK_AMPS = 1 << 22
@@ -74,11 +74,11 @@ class StateVector:
         return ProbDist(self.n_qubits, np.abs(self.amps) ** 2)
 
 
-def _check_cap(n_qubits: int, cap: int) -> None:
-    if n_qubits > cap:
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > STATEVECTOR_WIDTH_CAP:
         raise WidthCapError(
             f"{n_qubits} qubits is not practical at this width for dense simulation "
-            f"(cap {cap}; raise the cap explicitly if you really mean it)"
+            f"(cap {STATEVECTOR_WIDTH_CAP})"
         )
 
 
@@ -217,9 +217,9 @@ def _evolve(plan: list, batch: int, n_qubits: int, offsets: np.ndarray | None,
     return state
 
 
-def run_statevector(circuit: Circuit, cap: int = DEFAULT_WIDTH_CAP) -> StateVector:
+def run_statevector(circuit: Circuit) -> StateVector:
     """Noiseless final state of `circuit` with measurements stripped."""
-    _check_cap(circuit.n_qubits, cap)
+    _check_cap(circuit.n_qubits)
     state = _evolve(_plan(circuit, None, None), 1, circuit.n_qubits, None, None)
     return StateVector(circuit.n_qubits, state.reshape(-1))
 
@@ -236,12 +236,12 @@ def _measured_bit_distribution(full: np.ndarray, circuit: Circuit) -> ProbDist:
     return ProbDist(k, view.reshape(1 << k, -1).sum(axis=1))
 
 
-def ideal_distribution(circuit: Circuit, cap: int = DEFAULT_WIDTH_CAP) -> ProbDist:
+def ideal_distribution(circuit: Circuit) -> ProbDist:
     """Exact noiseless output distribution over the measured bits.
 
     With no measurement layer, all qubits are reported in index order.
     """
-    state = run_statevector(circuit, cap=cap)
+    state = run_statevector(circuit)
     return _measured_bit_distribution(np.abs(state.amps) ** 2, circuit)
 
 
@@ -301,13 +301,13 @@ def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None
 
 
 def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
-                  rng: np.random.Generator, cap: int = DEFAULT_WIDTH_CAP) -> SampleSet:
+                  rng: np.random.Generator) -> SampleSet:
     """Sample `shots` measurement outcomes, with optional trajectory noise.
 
     Noise follows the trajectory channel and draw layout of `qbench.noise`,
     drawn per chunk of trajectories.
     """
-    _check_cap(circuit.n_qubits, cap)
+    _check_cap(circuit.n_qubits)
     if shots <= 0:
         raise ValidationError("shots must be positive")
     n = circuit.n_qubits

@@ -325,7 +325,7 @@ def _is_inverse_pair(a: Gate, b: Gate) -> bool:
     return (a.kind, b.kind) in _INVERSE_KINDS
 
 
-def cancel_inverse_gates(circuit: Circuit, device: DeviceModel | None = None) -> Circuit:
+def cancel_inverse_gates(circuit: Circuit) -> Circuit:
     """Repeatedly drop adjacent inverse gate pairs (barriers block cancellation)."""
     ops = [g for g in circuit.all_gates()]
     changed = True
@@ -373,7 +373,7 @@ def _pass_decompose(circuit: Circuit, device: DeviceModel, entry: PassLogEntry) 
     return decompose_to_native(circuit, device)
 
 def _pass_cancel(circuit: Circuit, device: DeviceModel, entry: PassLogEntry) -> Circuit:
-    return cancel_inverse_gates(circuit, device)
+    return cancel_inverse_gates(circuit)
 
 
 PASS_REGISTRY: dict[str, object] = {

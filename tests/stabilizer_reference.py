@@ -5,7 +5,8 @@ errors for all shots, then each shot's outcome picks in shot order, then the
 readout flips), but reads each shot's outcome from its own noisy tableau. It
 is slow and obviously right, so the Pauli-frame sampler is checked against it
 count for count. The Clifford group search below does the same for the stacked
-enumeration in `qbench.cliffords`.
+enumeration in `qbench.cliffords`, and the two eliminations of
+`reference_outcome_space` for `StabilizerTableau.outcome_space`.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 from qbench.circuits import Circuit, Gate, GateKind, PauliLayer
 from qbench.cliffords import _GENERATORS
 from qbench.distributions import SampleSet
+from qbench.errors import ValidationError
 from qbench.noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
 from qbench.stabilizer import StabilizerTableau, _sample_set, evolve_tableau
 
@@ -76,3 +78,77 @@ def reference_clifford_elements(n: int) -> list[tuple[tuple[Gate, ...], bytes]]:
                     next_frontier.append((new, gates + (gen,)))
         frontier = next_frontier
     return elements
+
+
+def reference_outcome_space(tab: StabilizerTableau) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, basis) of `tab`'s outcomes, row by row: the stabilizer rows are
+    reduced on their X parts with sign-exact products, then the Z parts of the
+    rows left with no X part are solved as a GF(2) system for their signs."""
+    n = tab.n
+    sx = tab.x[n:].copy()
+    sz = tab.z[n:].copy()
+    sr = tab.r[n:].copy()
+    row = 0
+    for col in range(n):
+        pivot = next((i for i in range(row, n) if sx[i, col]), None)
+        if pivot is None:
+            continue
+        if pivot != row:
+            for m in (sx, sz, sr):
+                m[[pivot, row]] = m[[row, pivot]]
+        for i in range(n):
+            if i != row and sx[i, col]:
+                sr[i] = _rowmult_phase(sx[i], sz[i], sr[i], sx[row], sz[row], sr[row])
+                sx[i] ^= sx[row]
+                sz[i] ^= sz[row]
+        row += 1
+    c0, basis = _gf2_solve(sz[row:], sr[row:])
+    if basis.shape[0] != row:
+        raise ValidationError("inconsistent stabilizer outcome space")
+    return c0, basis
+
+
+def _rowmult_phase(xh, zh, rh, xi, zi, ri) -> np.uint8:
+    """Sign bit of row h := row h * row i, mod-4 Pauli phase bookkeeping."""
+    g = 0
+    for x1, z1, x2, z2 in zip(xi.tolist(), zi.tolist(), xh.tolist(), zh.tolist()):
+        if x1 and z1:
+            g += z2 - x2
+        elif x1:
+            g += z2 * (2 * x2 - 1)
+        elif z1:
+            g += x2 * (1 - 2 * z2)
+    total = (2 * int(rh) + 2 * int(ri) + g) % 4
+    if total not in (0, 2):
+        raise ValidationError("anticommuting rows multiplied in tableau reduction")
+    return np.uint8(total // 2)
+
+
+def _gf2_solve(rows: np.ndarray, parity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, basis): rows @ x = parity over GF(2) iff x in c xor span(basis)."""
+    m, n = rows.shape
+    a = np.concatenate([rows, parity.reshape(-1, 1)], axis=1).astype(np.uint8)
+    piv_cols: list[int] = []
+    for col in range(n):
+        row = len(piv_cols)
+        pivot = next((i for i in range(row, m) if a[i, col]), None)
+        if pivot is None:
+            continue
+        a[[pivot, row]] = a[[row, pivot]]
+        for i in range(m):
+            if i != row and a[i, col]:
+                a[i] ^= a[row]
+        piv_cols.append(col)
+    if np.any(a[len(piv_cols):, -1]):
+        raise ValidationError("inconsistent GF(2) system")
+    c = np.zeros(n, dtype=np.uint8)
+    for i, col in enumerate(piv_cols):
+        c[col] = a[i, -1]
+    free_cols = [col for col in range(n) if col not in piv_cols]
+    basis = np.zeros((len(free_cols), n), dtype=np.uint8)
+    for bi, fc in enumerate(free_cols):
+        basis[bi, fc] = 1
+        for ri, pc in enumerate(piv_cols):
+            if a[ri, fc]:
+                basis[bi, pc] = 1
+    return c, basis

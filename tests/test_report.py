@@ -1,4 +1,5 @@
 import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qbench
+import qbench.protocols
 import qbench.report
 from qbench.cli import main
 from qbench.device import DeviceModel
@@ -304,6 +306,17 @@ class TestSelfVerify:
         outcome = self_verify_report(Report(doc), reexecute=1)
         assert any("sample hash" in d for d in outcome.discrepancies)
 
+    def test_reexecution_runs_the_runners_item_code(self, monkeypatch):
+        # A QV item built differently from the stock recipe must still re-execute
+        # to the stored hashes: the runner and re-execution share `qv_item`.
+        stock = qbench.protocols.qv_model_circuit
+        monkeypatch.setattr(qbench.protocols, "qv_model_circuit",
+                            lambda width, stream: stock(width, stream.child(7)))
+        config = make_config()
+        config.protocols = [{"name": "quantum_volume", "max_width": 3, "circuits_per_width": 2,
+                             "shots": 50, "strict": False}]
+        assert self_verify_report(run_benchmark_suite(config), reexecute=2).status == "ok"
+
 
 class TestTracerBindings:
     def test_suite_calls_protocols_through_report_names(self, monkeypatch):
@@ -326,6 +339,15 @@ class TestTracerBindings:
         rep = run_benchmark_suite(config)
         assert all("error" not in r for r in rep.doc["base"])
         assert calls == {name: 1 for name in names}
+
+    def test_every_traced_binding_resolves(self):
+        spec = importlib.util.spec_from_file_location(
+            "tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, attr, _ in tracing.WRAPS:
+            assert callable(getattr(importlib.import_module(f"qbench.{module}"), attr, None)), \
+                f"qbench.{module}.{attr}"
 
 
 class TestCli:
@@ -568,6 +590,30 @@ class TestCli:
         assert main(["--out", str(report_path), "run", "--config", str(config_path)]) == 0
         assert "error" in json.loads(report_path.read_text())["base"][0]
         assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == 0
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda doc, qv: qv["config"].pop("shots"), 3),
+        (lambda doc, qv: qv.pop("seeds"), 3),
+        (lambda doc, qv: qv["items"][0].pop("width"), 3),
+        (lambda doc, qv: qv["items"][0].update(width="2"), 3),
+        (lambda doc, qv: doc["header"].pop("device"), 3),
+        (lambda doc, qv: qv.clear(), 0),
+        (lambda doc, qv: qv.update(items=None), 0),
+    ], ids=["no-shots", "no-seeds", "no-width", "string-width", "no-device", "empty-record",
+            "null-items"])
+    def test_check_reexecute_of_an_edited_report(self, tmp_path, report, capsys, edit, code):
+        # A record that is not a QV record with items is skipped; a QV record or
+        # header that cannot be re-executed is a discrepancy naming it.
+        doc = copy.deepcopy(report.doc)
+        edit(doc, _record(doc, "quantum_volume"))
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == code
+        if code:
+            problems = json.loads(capsys.readouterr().out)["discrepancies"]
+            assert any(p.startswith("re-execution: ") and ("Error" in p)
+                       and ("base:quantum_volume#rep0" in p or "header" in p) for p in problems)
 
     def test_parse_and_stats_commands(self, tmp_path):
         qasm = tmp_path / "c.qasm"

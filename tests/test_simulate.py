@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from stabilizer_reference import reference_sample
+from stabilizer_reference import reference_outcome_space, reference_sample
 from statevector_reference import _apply_paulis, reference_amplitudes, reference_sample_counts
 
 from qbench import statevector
@@ -19,9 +19,11 @@ from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
 from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, drift_rate_at
 from qbench.cliffords import clifford_group
-from qbench.randgen import haar_unitary, layered_model_circuit, random_clifford_circuit
+from qbench.randgen import (
+    haar_unitary, layered_model_circuit, make_mirror_circuit, random_clifford_circuit,
+)
 from qbench.rng import SeedStream
-from qbench.stabilizer import _push_frame, _sign_flips, stabilizer_sample
+from qbench.stabilizer import _push_frame, _sign_flips, evolve_tableau, stabilizer_sample
 from qbench.statevector import (
     _plan, apply_paulis, apply_unitary, ideal_distribution, run_statevector, sample_counts,
 )
@@ -79,7 +81,7 @@ class TestIdealDistribution:
 
     def test_width_cap_error_names_cap(self):
         with pytest.raises(WidthCapError) as err:
-            ideal_distribution(Circuit(25, ()), cap=24)
+            ideal_distribution(Circuit(25, ()))
         assert "24" in str(err.value)
         assert "not practical" in str(err.value)
 
@@ -421,6 +423,19 @@ class TestStabilizer:
         c = measure_all(Circuit.from_gates(70, [X(0), X(69)]))
         samples = stabilizer_sample(c, 5, SeedStream(35).generator(), noise=noise)
         assert dict(samples.counts) == {"1" + "0" * 68 + "1": 5}
+
+    def test_outcome_space_matches_reference(self):
+        # The frame sampler and its reference both read outcome_space, so only
+        # this comparison would catch a wrong (c0, basis).
+        circuits = [random_clifford_circuit(n, depth, SeedStream(36, (n, depth, k)))
+                    for n in range(1, 13) for depth in range(1, 9) for k in range(3)]
+        circuits += [make_mirror_circuit(random_clifford_circuit(n, 4, SeedStream(37, (n,))),
+                                         SeedStream(38, (n,))).circuit for n in range(1, 13)]
+        circuits.append(random_clifford_circuit(70, 3, SeedStream(39)))
+        for circuit in circuits:
+            tab = evolve_tableau(circuit)
+            for got, want in zip(tab.outcome_space(), reference_outcome_space(tab)):
+                np.testing.assert_array_equal(got, want, strict=True)
 
 
 def _basis_state_clifford(n: int, depth: int, stream: SeedStream) -> Circuit:
