@@ -6,7 +6,7 @@ scale. Reports embed raw per-item records and seed ledgers, and can be
 arithmetically re-verified after the fact.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .circuits import (  # noqa: F401
     Circuit, CircuitStats, Gate, GateKind, PauliString, circuit_stats,

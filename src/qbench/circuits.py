@@ -228,6 +228,18 @@ def pauli_matrix(letter: str) -> np.ndarray:
     return _PAULI_1Q[letter]
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 2x2 matrices, stacked over the leading axes: `a` on the high
+    bit of the 4-dimensional index, as on `targets[0]` of a 2-qubit gate."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def _swap_pair(unitary: np.ndarray) -> np.ndarray:
+    """The 4x4 `unitary` with its two qubits exchanged: its matrix on the reversed targets."""
+    return unitary.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+
+
 def gate_unitary(gate: Gate) -> np.ndarray:
     """Unitary of `gate` on its own targets (2x2 or 4x4; Pauli layers 2^k)."""
     if gate.kind in _FIXED_1Q:

@@ -20,6 +20,7 @@ import numpy as np
 from .circuits import CX, Gate, H, S, gate_unitary, inverse_gate
 from .errors import ValidationError
 from .stabilizer import StabilizerTableau, _push_frame, _sign_flips, _stack_keys
+from .statevector import apply_unitary
 
 GROUP_SIZES = {1: 24, 2: 11520}
 
@@ -44,20 +45,11 @@ def _sequence_key(n: int, gates: tuple[Gate, ...]) -> bytes:
 
 
 def _sequence_unitary(n: int, gates: tuple[Gate, ...]) -> np.ndarray:
-    u = np.eye(1 << n, dtype=complex)
+    """Dense unitary of `gates`: row j of the evolved identity batch is U e_j."""
+    rows = np.eye(1 << n, dtype=complex).reshape((1 << n,) + (2,) * n)
     for g in gates:
-        gu = gate_unitary(g)
-        if len(g.targets) == n and g.targets == tuple(range(n)):
-            full = gu
-        elif n == 2 and len(g.targets) == 1:
-            full = np.kron(gu, np.eye(2)) if g.targets[0] == 0 else np.kron(np.eye(2), gu)
-        elif n == 2 and g.targets == (1, 0):
-            perm = [0, 2, 1, 3]  # reorder basis so the gate sees |q1 q0>
-            full = gu[np.ix_(perm, perm)]
-        else:
-            raise ValidationError(f"unexpected targets {g.targets} in a {n}-qubit table sequence")
-        u = full @ u
-    return u
+        rows = apply_unitary(rows, gate_unitary(g), g.targets)
+    return np.ascontiguousarray(rows.reshape(1 << n, 1 << n).T)
 
 
 class CliffordGroup:

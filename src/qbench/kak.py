@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CX, gate_unitary, pauli_matrix
+from .circuits import CX, _kron, _swap_pair, gate_unitary, pauli_matrix
 from .errors import TranspileError
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -62,10 +62,9 @@ _EIG_SIGNS = np.array([
     for j in range(4)
 ])
 
-#: 4x4 CX keyed by local (control, target), qubit 0 the high bit; gate_unitary
-#: gives CX on its own targets, so CX(1->0) swaps the two qubit axes of CX(0->1)
+#: 4x4 CX keyed by local (control, target), qubit 0 the high bit
 _CX = {(0, 1): gate_unitary(CX(0, 1))}
-_CX[1, 0] = _CX[0, 1].reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+_CX[1, 0] = _swap_pair(_CX[0, 1])
 
 #: weights t for eigh(Re W + t Im W); two distinct eigenvalues of W merge at a
 #: single t, so a later weight separates what an unlucky one merges. The order
@@ -86,12 +85,6 @@ def _stack(u, size: int) -> np.ndarray:
 def _max_abs(x: np.ndarray) -> np.ndarray:
     """Largest |entry| of each item of a stack."""
     return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 2x2 matrices, stacked over the leading axes."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (4, 4))
 
 
 def _rotation(axis: str, angle) -> np.ndarray:

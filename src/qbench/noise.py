@@ -13,9 +13,9 @@ measured qubit in order whose clipped readout rate is above 0 for some shot,
 one `rng.random(batch) < rates`. The statevector engine, which randomized
 benchmarking shares with one site per Clifford element, picks outcomes with
 one `rng.random(batch)`: each shot takes the first index whose normalized
-cumulative sum reaches its draw. The tableau sampler draws each shot's
-outcome picks in shot order, one `rng.integers(0, 2, (1, k), uint8)` per
-shot when the ideal outcomes span k > 0 random bits.
+cumulative sum reaches its draw. The tableau sampler, with or without noise,
+picks with one `rng.integers(0, 2, (shots, k), uint8)`, row `shot` for each
+shot, when the ideal outcomes span k > 0 random bits.
 """
 from __future__ import annotations
 

@@ -15,7 +15,8 @@ Noisy circuits are sampled with Pauli frames, as in Stim (Gidney, Quantum 5,
 the X and Z bits of the Pauli its errors add up to, conjugated through the
 gates that follow them. Signs are dropped, since they do not change outcomes.
 A frame's X bits flip outcome bits and its Z bits leave them alone, so a
-shot's outcomes are uniform over c0 xor frame_x xor span(basis).
+shot's outcomes are uniform over c0 xor frame_x xor span(basis). A noiseless
+circuit is the case where every frame is zero, so none is pushed.
 
 The same row representation doubles as an exact group-element encoding for
 Clifford enumeration.
@@ -93,15 +94,6 @@ class StabilizerTableau:
         basis[np.arange(len(free)), free] = 1
         basis[:, fixed] = z[:len(fixed)][:, free].T
         return c0, basis
-
-    def sample_bits(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        """(shots, n) outcome bit array, exact stabilizer measurement statistics."""
-        c0, basis = self.outcome_space()
-        out = np.broadcast_to(c0, (shots, self.n)).copy()
-        if basis.shape[0]:
-            picks = rng.integers(0, 2, size=(shots, basis.shape[0]), dtype=np.uint8)
-            out ^= (picks @ basis) & 1
-        return out
 
 
 def _stack_keys(x: np.ndarray, z: np.ndarray, r: np.ndarray) -> list[bytes]:
@@ -238,46 +230,48 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
                       noise: NoiseModel | None = None) -> SampleSet:
     """Sample measurement outcomes of a Clifford circuit.
 
-    The ideal tableau is evolved once. With a noise model, each shot gets a
-    Pauli frame, X and Z bits per qubit, that is pushed through the gates;
-    after each gate, the errors `qbench.noise` draws for it (for all shots, as
-    the statevector sampler draws one chunk) are XORed into the frames. A
+    The ideal tableau is evolved once. With a nontrivial noise model, each
+    shot gets a Pauli frame, X and Z bits per qubit, that is pushed through
+    the gates; after each gate, the errors `qbench.noise` draws for it (for all
+    shots, as the statevector sampler draws one chunk) are XORed into the
+    frames. Without one, no errors are drawn and every frame stays zero. A
     shot's outcome is c0 xor its frame's X bits, reduced to the coset
     representative that is 0 on the free columns of the basis, xor the basis
-    rows it picks with one `rng.integers(0, 2, (1, k), uint8)` per shot. So
-    every shot gets the bits a tableau evolved with its own errors would give.
-    The readout flips are drawn and applied last.
+    rows it picks with row `shot` of one `rng.integers(0, 2, (shots, k),
+    uint8)` draw. So every shot gets the bits a tableau evolved with its own
+    errors would give. The readout flips are drawn and applied last.
     """
     tab = evolve_tableau(circuit)
     if shots <= 0:
         raise ValidationError("shots must be positive")
     n = circuit.n_qubits
     measured = circuit.measured_qubits() or tuple(range(n))
-
-    if noise is None or noise.is_trivial:
-        return _sample_set(tab.sample_bits(shots, rng), measured)
-
-    offsets = noise.shot_offsets(shots)
-    fx = np.zeros((n, shots), dtype=np.uint8)
-    fz = np.zeros((n, shots), dtype=np.uint8)
-    for gate in circuit.all_gates():
-        _push_frame(fx, fz, gate)
-        for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
-            x_bits, z_bits = PAULI_BITS[len(qubits)]
-            for j, q in enumerate(qubits):
-                fx[q, rows] ^= x_bits[choices, j]
-                fz[q, rows] ^= z_bits[choices, j]
+    if noise is not None and noise.is_trivial:
+        noise = None  # draws no errors and pushes no frames
 
     c0, basis = tab.outcome_space()
-    bits = c0 ^ fx.T
+    bits = np.broadcast_to(c0, (shots, n)).copy()
+    if noise is not None:
+        offsets = noise.shot_offsets(shots)
+        fx = np.zeros((n, shots), dtype=np.uint8)
+        fz = np.zeros((n, shots), dtype=np.uint8)
+        for gate in circuit.all_gates():
+            _push_frame(fx, fz, gate)
+            for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
+                x_bits, z_bits = PAULI_BITS[len(qubits)]
+                for j, q in enumerate(qubits):
+                    fx[q, rows] ^= x_bits[choices, j]
+                    fz[q, rows] ^= z_bits[choices, j]
+        bits ^= fx.T
     k = basis.shape[0]
     if k:
-        # Each basis row is 1 on its own free column (its last set bit) and 0 on the others.
+        # Each basis row is 1 on its own free column (its last set bit) and 0 on
+        # the others, so adding a shot's bits on those columns to its picks also
+        # moves it to the coset representative.
         free = n - 1 - np.argmax(basis[:, ::-1], axis=1)
-        bits ^= (bits[:, free] @ basis) & 1
-        # One draw per shot: a single (shots, k) uint8 draw takes other bits from the stream.
-        picks = np.concatenate([rng.integers(0, 2, size=(1, k), dtype=np.uint8) for _ in range(shots)])
-        bits ^= (picks @ basis) & 1
-    for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
-        bits[:, q] ^= flips
+        picks = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
+        bits ^= ((bits[:, free] ^ picks) @ basis) & 1
+    if noise is not None:
+        for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
+            bits[:, q] ^= flips
     return _sample_set(bits, measured)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, gate_unitary, pauli_matrix
+from .circuits import Circuit, GateKind, _kron, _swap_pair, gate_unitary, pauli_matrix
 from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
 from .noise import PAULI_BITS, NoiseModel, can_fire, draw_readout_flips, draw_site, gate_sites
@@ -127,16 +127,6 @@ def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
 
 
 _I2 = np.eye(2, dtype=complex)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 matrices, without its generic-shape overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
-
-
-def _swap_pair(unitary: np.ndarray) -> np.ndarray:
-    """The 4x4 `unitary` with its two qubits exchanged."""
-    return unitary.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
 def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None

@@ -437,9 +437,9 @@ def _probe_equivalence(device: DeviceModel, passes: tuple[str, ...], seed: int) 
     if key in _PASSED_PROBES:
         return
     comp = device.connected_components()
-    width = min(3, len(comp[0]) if comp else 1)
-    if width < 1:
+    if not comp:
         raise TranspileError("device has no working qubits to probe")
+    width = min(3, len(comp[0]))
     stream = SeedStream(seed, (0xEC0,))
     for trial in range(4):
         probe = _probe_circuit(width, stream.child(trial))

@@ -1,10 +1,11 @@
-"""Reference noisy tableau sampler: one tableau per shot, evolved with that shot's errors.
+"""Reference tableau sampler: one tableau per shot, evolved with that shot's errors.
 
 It draws exactly what `qbench.stabilizer.stabilizer_sample` draws (every gate's
-errors for all shots, then each shot's outcome picks in shot order, then the
-readout flips), but reads each shot's outcome from its own noisy tableau. It
-is slow and obviously right, so the Pauli-frame sampler is checked against it
-count for count. The Clifford group search below does the same for the stacked
+errors for all shots, then one (shots, k) array of outcome picks, then the
+readout flips), but reads each shot's outcome from its own noisy tableau's
+`outcome_space` and its own row of picks. It is slow and obviously right, so
+the Pauli-frame sampler is checked against it count for count, with and
+without noise. The Clifford group search below does the same for the stacked
 enumeration in `qbench.cliffords`, and the two eliminations of
 `reference_outcome_space` for `StabilizerTableau.outcome_space`.
 """
@@ -22,23 +23,23 @@ from qbench.stabilizer import StabilizerTableau, _sample_set, evolve_tableau
 
 def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
                      noise: NoiseModel | None = None) -> SampleSet:
-    tab = evolve_tableau(circuit)
+    evolve_tableau(circuit)  # the sampler's checks: Clifford gates, final measurements, width
     n = circuit.n_qubits
     measured = circuit.measured_qubits() or tuple(range(n))
-    if noise is None or noise.is_trivial:
-        return _sample_set(tab.sample_bits(shots, rng), measured)
-
-    offsets = noise.shot_offsets(shots)
+    if noise is not None and noise.is_trivial:
+        noise = None
+    offsets = noise.shot_offsets(shots) if noise is not None else None
     gates = [g for g in circuit.all_gates() if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
     # Sparse per-shot error lists of (gate position, qubits, Pauli label), in gate order.
     errors: list[list[tuple[int, tuple[int, ...], str]]] = [[] for _ in range(shots)]
-    for pos, gate in enumerate(gates):
-        for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
-            labels = PAULI_LABELS[len(qubits)]
-            for shot, choice in zip(rows.tolist(), choices.tolist()):
-                errors[shot].append((pos, qubits, labels[choice]))
+    if noise is not None:
+        for pos, gate in enumerate(gates):
+            for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
+                labels = PAULI_LABELS[len(qubits)]
+                for shot, choice in zip(rows.tolist(), choices.tolist()):
+                    errors[shot].append((pos, qubits, labels[choice]))
 
-    bits = np.empty((shots, n), dtype=np.uint8)
+    spaces = []
     for shot in range(shots):
         tab = StabilizerTableau(n)
         done = 0
@@ -49,9 +50,15 @@ def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
             tab.apply_gate(PauliLayer(qubits, word))
         for gate in gates[done:]:
             tab.apply_gate(gate)
-        bits[shot] = tab.sample_bits(1, rng)[0]
-    for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
-        bits[:, q] ^= flips
+        spaces.append(tab.outcome_space())
+    k = spaces[0][1].shape[0]  # errors change signs only, so every shot has the same k
+    picks = rng.integers(0, 2, size=(shots, k), dtype=np.uint8) if k else np.zeros((shots, 0), np.uint8)
+    bits = np.empty((shots, n), dtype=np.uint8)
+    for shot, (c0, basis) in enumerate(spaces):
+        bits[shot] = c0 ^ ((picks[shot] @ basis) & 1)
+    if noise is not None:
+        for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
+            bits[:, q] ^= flips
     return _sample_set(bits, measured)
 
 

@@ -1,7 +1,9 @@
 """Reference statevector simulator: the circuit applied one gate at a time.
 
 It also keeps randomized benchmarking's own batched trajectory loop
-(`reference_rb_survivals`), which `qbench.protocols.run_rb` must match.
+(`reference_rb_survivals`), which `qbench.protocols.run_rb` must match, and
+the Clifford tables' kron-and-permute unitaries (`reference_sequence_unitary`),
+which `CliffordGroup.unitary` must match entry for entry.
 
 Every gate becomes its own transpose, matrix product and inverse transpose on a
 (batch, 2**n) array, and each drawn Pauli a matrix product on the copied hit
@@ -75,6 +77,25 @@ def reference_amplitudes(circuit: Circuit) -> np.ndarray:
     for gate in circuit.all_gates():
         amps = _apply_gate(amps, gate, circuit.n_qubits)
     return amps[0]
+
+
+def reference_sequence_unitary(n: int, gates: tuple[Gate, ...]) -> np.ndarray:
+    """Dense unitary of a Clifford table sequence, each gate widened to the
+    n <= 2 qubits with np.kron or a basis permutation and multiplied in."""
+    u = np.eye(1 << n, dtype=complex)
+    for g in gates:
+        gu = gate_unitary(g)
+        if len(g.targets) == n and g.targets == tuple(range(n)):
+            full = gu
+        elif n == 2 and len(g.targets) == 1:
+            full = np.kron(gu, np.eye(2)) if g.targets[0] == 0 else np.kron(np.eye(2), gu)
+        elif n == 2 and g.targets == (1, 0):
+            perm = [0, 2, 1, 3]  # reorder basis so the gate sees |q1 q0>
+            full = gu[np.ix_(perm, perm)]
+        else:
+            raise ValueError(f"unexpected targets {g.targets} in a {n}-qubit table sequence")
+        u = full @ u
+    return u
 
 
 def _first_reaching(probs: np.ndarray, u: np.ndarray) -> np.ndarray:

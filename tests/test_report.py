@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -633,6 +634,12 @@ def test_cli_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.stdout.strip() == "[]"
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib, which Python 3.10 lacks; the first version key is [project]'s.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version\s*=\s*"([^"]+)"', text, re.M).group(1) == qbench.__version__
 
 
 class TestRunConfig:

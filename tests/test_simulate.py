@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from stabilizer_reference import reference_outcome_space, reference_sample
-from statevector_reference import _apply_paulis, reference_amplitudes, reference_sample_counts
+from statevector_reference import (
+    _apply_paulis, reference_amplitudes, reference_sample_counts, reference_sequence_unitary,
+)
 
 from qbench import statevector
 from qbench.circuits import (
@@ -417,9 +419,17 @@ class TestStabilizer:
         b = stabilizer_sample(c, 200, SeedStream(34).generator(), noise=noise)
         assert a == b
 
+    def test_noise_that_cannot_fire_gives_the_noiseless_samples(self):
+        # p2 on a circuit without 2q gates draws nothing, so the picks are the
+        # noiseless call's (shots, k) draw and the samples match bit for bit.
+        c = measure_all(Circuit.from_gates(3, [H(0), H(1), H(2)]))
+        noisy = stabilizer_sample(c, 500, SeedStream(40).generator(), noise=NoiseModel.uniform(p2=0.5))
+        assert noisy == stabilizer_sample(c, 500, SeedStream(40).generator(), noise=None)
+        assert len(noisy.counts) == 8
+
     @pytest.mark.parametrize("noise", [None, NoiseModel.uniform(p2=0.5)])
     def test_outcomes_wider_than_63_qubits(self, noise):
-        # p2 on a circuit without 2q gates takes the noisy path and flips nothing
+        # p2 on a circuit without 2q gates pushes frames but draws and flips nothing
         c = measure_all(Circuit.from_gates(70, [X(0), X(69)]))
         samples = stabilizer_sample(c, 5, SeedStream(35).generator(), noise=noise)
         assert dict(samples.counts) == {"1" + "0" * 68 + "1": 5}
@@ -472,7 +482,7 @@ def _basis_state_clifford(n: int, depth: int, stream: SeedStream) -> Circuit:
 @st.composite
 def _noisy_clifford_case(draw):
     """(circuit, noise, shots, seed): a random Clifford circuit of 1-8 qubits with a
-    measured subset, and a noise model with or without drift and readout."""
+    measured subset, and no noise model or one with or without drift and readout."""
     n = draw(st.integers(1, 8))
     qubit = st.integers(0, n - 1)
     one = st.builds(lambda make, q: make(q), st.sampled_from([H, S, Sdg, X, Y, Z]), qubit)
@@ -497,6 +507,8 @@ def _noisy_clifford_case(draw):
     noise = NoiseModel.uniform(p1=draw(st.sampled_from([0.05, 0.3, 1.0])),
                                p2=draw(st.sampled_from([0.0, 0.1, 0.5])),
                                readout=draw(st.sampled_from([0.0, 0.05])), drift=drift)
+    if draw(st.integers(0, 3)) == 3:
+        noise = None  # one case in four draws only the outcome picks
     return circuit, noise, draw(st.integers(16, 64)), draw(st.integers(0, 2**32 - 1))
 
 
@@ -549,6 +561,17 @@ class TestPauliFrameSampler:
                 image, sign = group.conjugated_pauli(index, p)
                 np.testing.assert_allclose(u @ pauli_matrix(p) @ u.conj().T, sign * pauli_matrix(image),
                                            atol=1e-12, err_msg=f"{index} {p}")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_table_unitaries_match_the_kron_reference(self, n):
+        # Every 1q element and a seeded 1000 of the 11520 2q ones: the table's
+        # identity batch through apply_unitary against kron-and-permute products.
+        group = clifford_group(n)
+        indices = range(len(group)) if n == 1 else \
+            SeedStream(41).generator().choice(len(group), size=1000, replace=False).tolist()
+        for index in indices:
+            want = reference_sequence_unitary(n, group.elements[index].gates)
+            assert np.array_equal(group.unitary(index), want), index
 
 
 def _two_qubit_unitary(gate):

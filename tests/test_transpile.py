@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,13 @@ class TestPipeline:
             with pytest.raises(EquivalenceProbeError):
                 run_pipeline(c, dev, cfg)
         assert not transpile._PASSED_PROBES
+
+    @pytest.mark.parametrize("passes", [("route", "decompose", "validate"), ("decompose", "validate")])
+    def test_probe_rejects_a_device_without_working_qubits(self, passes):
+        dev = dataclasses.replace(DeviceModel.linear(3, native_gates=RXCX), working=(False,) * 3)
+        c = measure_all(Circuit.from_gates(3, [H(0), CX(0, 1)]))
+        with pytest.raises(TranspileError, match="no working qubits to probe"):
+            run_pipeline(c, dev, TranspileConfig(mode="peak", passes=passes))
 
     def test_unknown_pass_rejected(self):
         dev = DeviceModel.linear(2, native_gates=RXCX)
