@@ -97,7 +97,6 @@ class CliffordGroup:
         self.elements = tuple(elements)
         self._index_of = index_of
         self._unitaries: dict[int, np.ndarray] = {}
-        self._conjugation: dict[int, dict[str, tuple[str, int]]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -117,23 +116,6 @@ class CliffordGroup:
 
     def sample(self, rng: np.random.Generator) -> CliffordElement:
         return self.elements[int(rng.integers(0, len(self.elements)))]
-
-    def conjugated_pauli(self, index: int, letter: str) -> tuple[str, int]:
-        """(letter, sign) of U P U^dagger for a single-qubit element U."""
-        if self.n != 1:
-            raise ValidationError("pauli conjugation table is for the 1-qubit group")
-        table = self._conjugation.get(index)
-        if table is None:
-            # One row per Pauli X, Y, Z, pushed through the element's gates.
-            x = np.array([[1, 1, 0]], dtype=np.uint8)
-            z = np.array([[0, 1, 1]], dtype=np.uint8)
-            r = np.zeros(3, dtype=np.uint8)
-            for g in self.elements[index].gates:
-                r ^= _sign_flips(x, z, g)
-                _push_frame(x, z, g)
-            table = {p: ("IZXY"[2 * x[0, i] + z[0, i]], 1 - 2 * int(r[i])) for i, p in enumerate("XYZ")}
-            self._conjugation[index] = table
-        return table[letter]
 
 
 @lru_cache(maxsize=None)

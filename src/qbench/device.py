@@ -15,6 +15,11 @@ from .noise import DriftSchedule
 
 DEVICE_SCHEMA = "devmodel/1"
 
+#: native set of the `linear` and `complete` constructors unless they are given one
+DEFAULT_NATIVE_GATES = (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG,
+                        GateKind.T, GateKind.TDG, GateKind.RX, GateKind.RY, GateKind.RZ,
+                        GateKind.CX)
+
 
 @dataclass(frozen=True)
 class DeviceModel:
@@ -186,18 +191,14 @@ class DeviceModel:
     # -- stock topologies (test and demo devices) ------------------------------
 
     @classmethod
-    def linear(cls, n_qubits: int, native_gates=(GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
-                                                 GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
-                                                 GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CX),
+    def linear(cls, n_qubits: int, native_gates=DEFAULT_NATIVE_GATES,
                coupling: float = 1.0, **kwargs) -> "DeviceModel":
         edges = tuple((i, i + 1, coupling) for i in range(n_qubits - 1))
         return cls(n_qubits=n_qubits, working=(True,) * n_qubits, edges=edges,
                    native_gates=frozenset(native_gates), **kwargs)
 
     @classmethod
-    def complete(cls, n_qubits: int, native_gates=(GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
-                                                   GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG,
-                                                   GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.CX),
+    def complete(cls, n_qubits: int, native_gates=DEFAULT_NATIVE_GATES,
                  coupling: float = 1.0, **kwargs) -> "DeviceModel":
         edges = tuple((i, j, coupling) for i in range(n_qubits) for j in range(i + 1, n_qubits))
         return cls(n_qubits=n_qubits, working=(True,) * n_qubits, edges=edges,

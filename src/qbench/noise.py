@@ -219,9 +219,10 @@ def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int
 
     The choice is drawn for every shot, so the layout does not depend on the hits.
     """
-    if not can_fire(rate, offsets):
+    p = _clipped(rate, offsets)
+    if not np.any(p > 0):
         return None
-    hit = rng.random(batch) < _clipped(rate, offsets)
+    hit = rng.random(batch) < p
     choice = rng.integers(0, len(PAULI_LABELS[n_qubits]), size=batch)
     rows = np.flatnonzero(hit)
     return rows, choice[rows]
@@ -243,7 +244,7 @@ def draw_readout_flips(noise: NoiseModel, qubits, offsets: np.ndarray | None, ba
     """(qubit, per-shot flip mask) for each measured qubit, in order, whose readout can flip."""
     flips = []
     for q in qubits:
-        rate = noise.readout_for(q)
-        if can_fire(rate, offsets):
-            flips.append((q, rng.random(batch) < _clipped(rate, offsets)))
+        p = _clipped(noise.readout_for(q), offsets)
+        if np.any(p > 0):
+            flips.append((q, rng.random(batch) < p))
     return flips

@@ -4,11 +4,12 @@ The tableau keeps 2n generator rows (n destabilizers, n stabilizers) as X/Z
 bit matrices plus a sign bit per row. A gate moves the X/Z bits by the Pauli
 frame rules of `_push_frame` and flips signs by CHP's phase rule in
 `_sign_flips` (Aaronson & Gottesman, PRA 70, 052328 (2004)); these two are
-the only encoding of how a Clifford gate maps Paulis, and the Clifford
-tables' conjugation table is read from them too. Sampling does not measure qubit by qubit;
-instead the computational-basis outcome distribution of a stabilizer state is
-uniform over an affine GF(2) subspace, c0 xor span(basis), which is extracted
-once by Gaussian elimination and then sampled with vectorized bit algebra.
+the only encoding of how a Clifford gate maps Paulis, and the Clifford group
+search and the mirror construction's expected outcome use them too. Sampling
+does not measure qubit by qubit; instead the computational-basis outcome
+distribution of a stabilizer state is uniform over an affine GF(2) subspace,
+c0 xor span(basis), which is extracted once by Gaussian elimination and then
+sampled with vectorized bit algebra.
 
 Noisy circuits are sampled with Pauli frames, as in Stim (Gidney, Quantum 5,
 497 (2021)): the ideal tableau is evolved once, and each shot carries only

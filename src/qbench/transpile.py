@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import (
-    CX, CZ, Circuit, Gate, GateKind, H, Measure, ROTATION_KINDS, Rx, Ry, Rz,
+    CX, CZ, Circuit, Gate, GateKind, ROTATION_KINDS, Rx, Ry, Rz,
     TWO_QUBIT_KINDS, gate_unitary, measure_all,
 )
 from .device import DeviceModel, validate_against_device
@@ -187,11 +187,6 @@ def _entangler(device: DeviceModel) -> GateKind | None:
 _ANGLE_EPS = 1e-12
 
 
-def _emit_1q(q: int, matrix: np.ndarray, out: list) -> None:
-    """Queue a 1q unitary on `q`; `_expand_1q` lowers every queued one at once."""
-    out.append((q, matrix))
-
-
 def _expand_1q(out: list, family: str) -> list[Gate]:
     """`out` with each queued (qubit, 2x2) replaced by its Euler rotations, all
     angles from one `euler_zyz` call."""
@@ -241,7 +236,7 @@ def _emit_named_1q(q: int, kind: GateKind, device: DeviceModel, out: list) -> No
     if kind in device.native_gates:
         out.append(gate)
         return
-    _emit_1q(q, gate_unitary(gate), out)
+    out.append((q, gate_unitary(gate)))
 
 
 def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
@@ -259,6 +254,8 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
     u2q = [g.matrix for g in gates if g.kind is GateKind.U2Q]
     seq = synthesize_two_qubit(u2q) if u2q else None
     n_u2q = 0
+    # Lowered gates, with each 1q unitary queued as (qubit, 2x2); `_expand_1q`
+    # lowers every queued one at once.
     out: list = []
     for gate in gates:
         kind = gate.kind
@@ -274,7 +271,7 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
                     _emit_cx(gate.targets[op[1]], gate.targets[op[2]], ent, device, out)
                 else:
                     _, local_q, u2 = op
-                    _emit_1q(gate.targets[local_q], u2[n_u2q], out)
+                    out.append((gate.targets[local_q], u2[n_u2q]))
             n_u2q += 1
         elif kind in device.native_gates:
             out.append(gate)
@@ -293,7 +290,7 @@ def decompose_to_native(circuit: Circuit, device: DeviceModel) -> Circuit:
             _emit_named_1q(b, GateKind.H, device, out)
         elif kind in ROTATION_KINDS or kind in (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
                                                 GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG):
-            _emit_1q(gate.targets[0], gate_unitary(gate), out)
+            out.append((gate.targets[0], gate_unitary(gate)))
         else:
             raise TranspileError(f"cannot lower gate {kind.value}")
     md = dict(circuit.metadata)

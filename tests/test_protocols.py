@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from statevector_reference import reference_rb_survivals
 
-from qbench.circuits import CX, Circuit, H, PauliString
+from qbench.circuits import CX, Circuit, H, PauliString, S
 from qbench.device import DeviceModel
 from qbench.errors import ValidationError
 from qbench.noise import DriftSchedule, NoiseModel
@@ -287,6 +287,22 @@ class TestShadows:
                                 8000, SeedStream(120))
         assert abs(zz.estimate - 1.0) <= 3 * math.sqrt(9 / 8000)
         assert abs(z.estimate) <= 3 * math.sqrt(3 / 8000)
+
+    def test_y_and_x_letters_after_h_then_s(self):
+        # H then S from |0> gives the +1 eigenstate of Y, so <Y> = 1 and <X> = 0.
+        prep = Circuit.from_gates(1, [H(0), S(0)])
+        y, x = shadow_estimate(prep, [PauliString(1, "Y"), PauliString(1, "X")], 4000,
+                               SeedStream(122))
+        assert abs(y.estimate - 1.0) <= 3 * math.sqrt(3 / 4000)
+        assert abs(x.estimate) <= 3 * math.sqrt(3 / 4000)
+
+    def test_ghz_three_body_x_and_y_letters(self):
+        # GHZ(3) is stabilized by XXX and by -XYY.
+        prep = Circuit.from_gates(3, [H(0), CX(0, 1), CX(1, 2)])
+        xxx, xyy = shadow_estimate(prep, [PauliString(3, "XXX"), PauliString(3, "XYY")],
+                                   8000, SeedStream(123))
+        assert abs(xxx.estimate - 1.0) <= 3 * math.sqrt(27 / 8000)
+        assert abs(xyy.estimate + 1.0) <= 3 * math.sqrt(27 / 8000)
 
     def test_error_shrinks_with_snapshots(self):
         prep = Circuit.from_gates(2, [H(0), CX(0, 1)])

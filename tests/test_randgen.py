@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 from stabilizer_reference import reference_clifford_elements
 
+import qbench.stabilizer
 from qbench.circuits import CLIFFORD_KINDS, Circuit, GateKind, T, inverse_gate, measure_all
 from qbench.cliffords import clifford_group
+from qbench.device import DeviceModel
 from qbench.errors import NonCliffordError, ValidationError
+from qbench.protocols import run_mirror_benchmark
 from qbench.randgen import (
     VolumetricShape, haar_unitary, layered_model_circuit, make_mirror_circuit,
     qv_model_circuit, random_clifford_circuit, sample_clifford_element,
     volumetric_family,
 )
 from qbench.rng import SeedStream
-from qbench.stabilizer import StabilizerTableau, stabilizer_sample
+from qbench.stabilizer import StabilizerTableau, deterministic_outcome, stabilizer_sample
 from qbench.statevector import run_statevector
 
 
@@ -165,6 +168,28 @@ class TestMirror:
     def test_non_clifford_base_rejected(self):
         with pytest.raises(NonCliffordError):
             make_mirror_circuit(Circuit.from_gates(2, [T(0)]), SeedStream(1))
+
+    @pytest.mark.parametrize("width", [*range(1, 13), 20, 50])
+    def test_expected_outcome_matches_the_tableau(self, width):
+        # The outcome read from the Pauli layer's frame against a full tableau
+        # evolution of the mirror circuit, the oracle the construction replaced.
+        for depth in (1, 3, 10):
+            for r in range(20):
+                item = SeedStream(2026, (width, depth, r))
+                base = random_clifford_circuit(width, depth, item.child(0))
+                spec = make_mirror_circuit(base, item.child(1))
+                assert spec.expected == deterministic_outcome(spec.circuit), (depth, r)
+
+    def test_construction_evolves_no_tableau(self, monkeypatch):
+        calls = []
+        evolve = qbench.stabilizer.evolve_tableau
+        monkeypatch.setattr(qbench.stabilizer, "evolve_tableau",
+                            lambda circuit: calls.append(circuit) or evolve(circuit))
+        make_mirror_circuit(random_clifford_circuit(8, 6, SeedStream(16)), SeedStream(17))
+        assert calls == []
+        run_mirror_benchmark(DeviceModel.complete(5), None, [3, 5], [2, 4], 3, 20,
+                             SeedStream(18))
+        assert len(calls) == 2 * 2 * 3  # the one inside each circuit's stabilizer_sample
 
     def test_mirror_success_exact_up_to_width_50(self):
         for width in (12, 50):

@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib.util
 import json
@@ -342,13 +343,39 @@ class TestTracerBindings:
         assert calls == {name: 1 for name in names}
 
     def test_every_traced_binding_resolves(self):
-        spec = importlib.util.spec_from_file_location(
-            "tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        for module, attr, _ in tracing.WRAPS:
+        for module, attr, _ in _load_tracing().WRAPS:
             assert callable(getattr(importlib.import_module(f"qbench.{module}"), attr, None)), \
                 f"qbench.{module}.{attr}"
+
+    def test_no_module_imports_a_name_it_never_uses(self):
+        # An import nothing references is dead unless the tracer wraps that
+        # binding, as it does randgen.deterministic_outcome and report.sample_counts.
+        traced = {(module, attr) for module, attr, _ in _load_tracing().WRAPS}
+        src = Path(qbench.__file__).resolve().parent
+        dead = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            dead += [f"{path.stem}:{line} {name}" for name, line in imported.items()
+                     if name not in used and (path.stem, name) not in traced]
+        assert not dead, dead
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 class TestCli:

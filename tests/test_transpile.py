@@ -277,9 +277,7 @@ class TestDecompose:
     def test_ry_lowers_to_as_few_rotations_at_any_sign(self, family, angle):
         # Rz Ry Rz with a negative Ry angle: one Ry on an RZ/RY device; on an
         # RZ/RX device an Ry is always Rz Rx Rz.
-        out = []
-        transpile._emit_1q(0, gate_unitary(Ry(0, angle)), out)
-        gates = transpile._expand_1q(out, family)
+        gates = transpile._expand_1q([(0, gate_unitary(Ry(0, angle)))], family)
         assert [g.kind for g in gates] == (
             [GateKind.RY] if family == "zyz" else [GateKind.RZ, GateKind.RX, GateKind.RZ])
         product = np.eye(2)
