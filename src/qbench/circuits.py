@@ -52,13 +52,15 @@ CLIFFORD_KINDS = frozenset(
      GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.PAULI}
 )
 
-# Fixed arity per kind; None means variable (validated separately).
-_ARITY: dict[GateKind, int | None] = {
-    GateKind.H: 1, GateKind.X: 1, GateKind.Y: 1, GateKind.Z: 1,
-    GateKind.S: 1, GateKind.SDG: 1, GateKind.T: 1, GateKind.TDG: 1,
-    GateKind.RX: 1, GateKind.RY: 1, GateKind.RZ: 1,
-    GateKind.CX: 2, GateKind.CZ: 2, GateKind.SWAP: 2, GateKind.U2Q: 2,
-    GateKind.PAULI: None, GateKind.MEASURE: 1, GateKind.BARRIER: None,
+# Per kind: fixed arity (None: variable, validated separately) and the one
+# optional field the kind takes (None: it takes none of them).
+_SIGNATURE: dict[GateKind, tuple[int | None, str | None]] = {
+    GateKind.H: (1, None), GateKind.X: (1, None), GateKind.Y: (1, None), GateKind.Z: (1, None),
+    GateKind.S: (1, None), GateKind.SDG: (1, None), GateKind.T: (1, None), GateKind.TDG: (1, None),
+    GateKind.RX: (1, "angle"), GateKind.RY: (1, "angle"), GateKind.RZ: (1, "angle"),
+    GateKind.CX: (2, None), GateKind.CZ: (2, None), GateKind.SWAP: (2, None),
+    GateKind.U2Q: (2, "matrix"), GateKind.PAULI: (None, "paulis"), GateKind.MEASURE: (1, "cbit"),
+    GateKind.BARRIER: (None, None),
 }
 
 
@@ -79,34 +81,38 @@ class Gate:
     cbit: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        arity = _ARITY[self.kind]
-        if arity is not None and len(self.targets) != arity:
-            raise ValidationError(f"{self.kind.value} expects {arity} target(s), got {len(self.targets)}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValidationError(f"{self.kind.value} targets must be distinct: {self.targets}")
-        if any(t < 0 for t in self.targets):
+        # One lookup of the kind's signature decides which checks run: a 1q gate
+        # cannot repeat a target, and each field is checked as the kind's own
+        # or as one it must leave unset, in the order angle, matrix, paulis, cbit.
+        targets = tuple(map(int, self.targets))
+        object.__setattr__(self, "targets", targets)
+        arity, takes = _SIGNATURE[self.kind]
+        if arity is not None and len(targets) != arity:
+            raise ValidationError(f"{self.kind.value} expects {arity} target(s), got {len(targets)}")
+        if arity != 1 and len(set(targets)) != len(targets):
+            raise ValidationError(f"{self.kind.value} targets must be distinct: {targets}")
+        if targets and min(targets) < 0:
             raise ValidationError("qubit indices must be nonnegative")
-        if self.kind in ROTATION_KINDS:
+        if takes == "angle":
             if self.angle is None or not math.isfinite(self.angle):
                 raise ValidationError(f"{self.kind.value} needs a finite angle")
         elif self.angle is not None:
             raise ValidationError(f"{self.kind.value} takes no angle")
-        if self.kind is GateKind.U2Q:
+        if takes == "matrix":
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (4, 4):
                 raise ValidationError("u2q matrix must be 4x4")
-            if np.max(np.abs(m.conj().T @ m - np.eye(4))) > UNITARITY_TOL:
+            if not np.abs(m.conj().T @ m - np.eye(4)).max() <= UNITARITY_TOL:  # NaN fails too
                 raise ValidationError("u2q matrix is not unitary within 1e-10")
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
         elif self.matrix is not None:
             raise ValidationError(f"{self.kind.value} takes no matrix")
-        if self.kind is GateKind.PAULI:
-            if not self.targets:
+        if takes == "paulis":
+            if not targets:
                 raise ValidationError("pauli layer needs at least one target")
-            if self.paulis is None or len(self.paulis) != len(self.targets):
+            if self.paulis is None or len(self.paulis) != len(targets):
                 raise ValidationError("pauli letters must match target count")
             if any(ch not in "IXYZ" for ch in self.paulis):
                 raise ValidationError(f"bad pauli letters: {self.paulis!r}")
@@ -114,12 +120,12 @@ class Gate:
                 raise ValidationError("pauli sign must be +1 or -1")
         elif self.paulis is not None:
             raise ValidationError(f"{self.kind.value} takes no pauli letters")
-        if self.kind is GateKind.MEASURE:
+        if takes == "cbit":
             if self.cbit is None or self.cbit < 0:
                 raise ValidationError("measure needs a nonnegative classical bit")
         elif self.cbit is not None:
             raise ValidationError(f"{self.kind.value} takes no classical bit")
-        if self.kind is GateKind.BARRIER and not self.targets:
+        if not targets and self.kind is GateKind.BARRIER:
             raise ValidationError("barrier needs at least one target")
 
     def __eq__(self, other) -> bool:

@@ -59,9 +59,29 @@ def counts_digest(samples: SampleSet) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _json_type_matches(value, annotation: str) -> bool:
+    """Whether a JSON value has the type an item field is annotated with:
+    int, float (any number), str or list[...] of one of them. A bool is no number."""
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_json_type_matches(v, annotation[5:-1]) for v in value)
+    if annotation == "float":
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value).__name__ == annotation
+
+
 def _from_json(cls, item: dict):
-    """An item dataclass built from the raw (init) fields of its JSON form."""
-    return cls(**{f.name: item[f.name] for f in fields(cls) if f.init})
+    """An item dataclass built from the raw (init) fields of its JSON form.
+
+    A raw field whose JSON type does not match its annotation raises ValidationError.
+    """
+    raw = {}
+    for f in fields(cls):
+        if f.init:
+            value = raw[f.name] = item[f.name]
+            if not _json_type_matches(value, f.type):
+                raise ValidationError(f"{cls.__name__}.{f.name} is {type(value).__name__}, "
+                                      f"not {f.type}")
+    return cls(**raw)
 
 
 # -- quantum volume -------------------------------------------------------------
@@ -576,7 +596,7 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
         state = psi
         for q in np.flatnonzero(bases[s] < 2):
             state = apply_unitary(state, _TO_Z[bases[s, q]], (int(q),))
-        outcomes[s] = _sample_rows(np.abs(state.reshape(-1)) ** 2, 1, rng)[0]
+        outcomes[s] = _sample_rows(np.abs(state.reshape(1, -1)) ** 2, np.zeros(1, np.intp), rng)[0]
     eigen = 1 - 2 * ((outcomes[:, None] >> np.arange(n - 1, -1, -1)) & 1)
     letters = np.array([["XYZI".index(p) for p in obs.letters] for obs in observables])
     factors = np.where(bases[:, None] == letters, 3 * eigen[:, None], 0)

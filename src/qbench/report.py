@@ -579,8 +579,9 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
     from their seed ledger and compares freshly sampled counts hash-exactly.
     Seeded bits are reproducible only within one harness version, so a report
     made by another version is not re-executed, and its fitted RB aggregates
-    are not compared. Missing raw records, a skipped re-execution or an
-    uncompared aggregate yield "unverifiable" rather than failure.
+    are not compared. Missing raw records, a skipped re-execution, a
+    re-execution that covered no circuit or an uncompared aggregate yield
+    "unverifiable" rather than failure.
     """
     doc = report.doc
     version = doc.get("header", {}).get("harness_version")
@@ -608,7 +609,11 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
         skipped.append(f"fitted aggregates not compared ({', '.join(uncompared)}): {versions}")
     if reexecute > 0:
         if same_version:
-            problems.extend(_reexecute_check(doc, reexecute))
+            reexecuted, reexecute_problems = _reexecute_check(doc, reexecute)
+            problems.extend(reexecute_problems)
+            if not reexecuted:
+                skipped.append("re-execution covered no circuit: no base quantum_volume record "
+                               "holds an item with sample hashes")
         else:
             skipped.append(f"re-execution skipped: {versions}")
 
@@ -622,16 +627,17 @@ def self_verify_report(report: Report, reexecute: int = 0) -> VerifyOutcome:
     return VerifyOutcome(True, "ok", [])
 
 
-def _reexecute_check(doc: dict, count: int) -> list[str]:
+def _reexecute_check(doc: dict, count: int) -> tuple[int, list[str]]:
     """Re-run circuit 0 of up to `count` base quantum-volume widths and compare
-    sample hashes. Records that are not QV records with items are skipped; a
-    header or QV record that cannot be re-executed is a problem."""
+    sample hashes; returns (circuits re-executed, problems). Records that are
+    not QV records with items are skipped; a header or QV record that cannot
+    be re-executed is a problem."""
     header = doc.get("header", {})
     try:
         device = DeviceModel.from_json(header["device"])
         noise = build_noise(RunConfig(device=device, protocols=[], noise=header.get("noise", {})))
     except Exception as exc:  # an edited header may not describe a device at all
-        return [f"re-execution: header cannot be read ({type(exc).__name__}: {exc})"]
+        return 0, [f"re-execution: header cannot be read ({type(exc).__name__}: {exc})"]
     problems: list[str] = []
     done = 0
     for record in doc.get("base") or []:
@@ -653,4 +659,4 @@ def _reexecute_check(doc: dict, count: int) -> list[str]:
         except Exception as exc:  # an edited record may not re-execute at all
             problems.append(f"re-execution: {_record_name(record)} cannot be re-executed "
                             f"({type(exc).__name__}: {exc})")
-    return problems
+    return done, problems

@@ -1,20 +1,23 @@
 """Exact statevector simulation with stochastic Pauli-trajectory noise.
 
-Shots are simulated as a batch: the state is a (batch,) + (2,)*n tensor, one
-row per trajectory with qubit q on axis 1 + q, and noise draws select the rows
-that receive a Pauli injection.
+Shots are simulated as a batch of error histories: the state is a (rows,) +
+(2,)*n tensor, one row per distinct error history with qubit q on axis 1 + q,
+and a (shots,) index gives each shot's row.
 
 Every sampler runs one trajectory engine. A circuit compiles once per call
 into an execution plan, a list of (targets, fused unitary, sites), where the
 sites are the (qubits, rate) pairs of `qbench.noise.gate_sites` that can fire
 for some shot of the call; randomized benchmarking builds its plan directly,
 one op per Clifford element with one site at the element rate. The engine
-applies each op with one kernel (`np.tensordot` of the unitary with the
-target axes, then `np.moveaxis` to put them back) and draws each of its sites
-right after it, once per chunk of trajectories, so the draw layout of
-`qbench.noise` holds. A plan with no sites, the noiseless one included, is
-one state for every shot: it is evolved once and every shot is picked from it
-in one chunk.
+applies each op to every row with one kernel (`np.tensordot` of the unitary
+with the target axes, then `np.moveaxis` to put them back) and draws each of
+its sites right after it for every shot of the chunk, so the draw layout of
+`qbench.noise` holds. The hit shots of a site are grouped by (row, drawn
+label): each group gets one new row, its parent with the Pauli applied, and
+rows that no shot points to any more are dropped. So shots whose errors
+agree so far share one row, and the work follows the distinct histories,
+not the shots. A plan with no sites, the noiseless one included, is the
+one-history case: one row for every shot, picked from in one chunk.
 
 Every shot's outcome follows one rule: the first index whose normalized
 cumulative sum reaches the shot's uniform draw (`_sample_rows`). Each shot
@@ -27,9 +30,9 @@ gate folds into the next op on its qubit, and successive 2q gates on one pair
 merge into one op. An op with sites closes: nothing fuses across it. On every
 qubit, unitaries and injections keep their circuit order.
 
-A drawn Pauli acts on the hit rows by index arithmetic, not matrix products:
-X and Y XOR the amplitude index with their bits, and Z and Y multiply by a
-sign.
+A drawn Pauli makes its group's row by index arithmetic, not matrix
+products: X and Y XOR the amplitude index with their bits, and Z and Y
+multiply by a sign.
 """
 from __future__ import annotations
 
@@ -104,16 +107,13 @@ def apply_unitary(state: np.ndarray, unitary: np.ndarray, targets: tuple[int, ..
 _Y_PHASE = np.array([(-1j) ** k for k in range(3)])
 
 
-def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
-                 choices: np.ndarray) -> None:
-    """Apply the drawn Pauli `PAULI_LABELS[len(qubits)][choice]` to each hit row, in place.
+def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], choices: np.ndarray) -> np.ndarray:
+    """Row i of `state` with the Pauli `PAULI_LABELS[len(qubits)][choices[i]]` applied.
 
-    `state` is a (batch,) + (2,)*n tensor. One gather serves every hit row: X
-    and Y XOR the row's amplitude index with its mask, then Z and Y flip the
-    sign of each output amplitude whose bit on the letter's qubit is 1.
+    `state` is a (len(choices),) + (2,)*n tensor. One gather serves every
+    row: X and Y XOR the row's amplitude index with its mask, then Z and Y
+    flip the sign of each output amplitude whose bit on the letter's qubit is 1.
     """
-    if not len(rows):
-        return
     n = state.ndim - 1
     x, z = (bits[choices].astype(np.int64) for bits in PAULI_BITS[len(qubits)])
     shifts = [n - 1 - q for q in qubits]
@@ -121,9 +121,9 @@ def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], rows: np.ndarray,
     flip = sum(x[:, j] << s for j, s in enumerate(shifts))
     parity = sum(z[:, j, None] * ((index >> s) & 1) for j, s in enumerate(shifts))
     phase = (1 - 2 * (parity & 1)) * _Y_PHASE[(x & z).sum(axis=1)][:, None]
-    flat = state[rows].reshape(len(rows), -1)
+    flat = state.reshape(len(choices), -1)
     gathered = np.take_along_axis(flat, index ^ flip[:, None], axis=1)
-    state[rows] = (gathered * phase).reshape((len(rows),) + (2,) * n)
+    return (gathered * phase).reshape(state.shape)
 
 
 _I2 = np.eye(2, dtype=complex)
@@ -194,24 +194,40 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
 
 
 def _evolve(plan: list, batch: int, n_qubits: int, offsets: np.ndarray | None,
-            rng: np.random.Generator | None) -> np.ndarray:
-    """`batch` trajectories of `plan` from |0...0>: each op's unitary, then a
-    draw for each of its sites (with these per-shot offsets) and the drawn Paulis."""
-    state = zero_state(batch, n_qubits)
+            rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """`batch` trajectories of `plan` from |0...0>, one row per distinct error history.
+
+    Returns (rows, history): shot i's state is `rows[history[i]]`. Every shot
+    starts on one |0...0> row. Each op's unitary acts on every row, then each
+    of its sites is drawn for all `batch` shots (with these per-shot
+    offsets). The hit shots are grouped by (row, drawn label), each group
+    gets one new row, its parent with that Pauli applied, and rows that no
+    shot points to any more are dropped.
+    """
+    rows = zero_state(1, n_qubits)
+    history = np.zeros(batch, dtype=np.intp)
     for targets, unitary, sites in plan:
-        state = apply_unitary(state, unitary, targets)
+        rows = apply_unitary(rows, unitary, targets)
         for qubits, rate in sites:
             drawn = draw_site(rate, offsets, batch, len(qubits), rng)
-            if drawn is not None:
-                apply_paulis(state, qubits, *drawn)
-    return state
+            if drawn is None or not len(drawn[0]):
+                continue
+            hit, choices = drawn
+            key = 4 ** len(qubits)  # above every label index of the site
+            groups, group = np.unique(history[hit] * key + choices, return_inverse=True)
+            new = apply_paulis(rows[groups // key], qubits, groups % key)
+            history[hit] = len(rows) + group
+            live = np.bincount(history, minlength=len(rows) + len(new)) > 0
+            rows = np.concatenate((rows[live[:len(rows)]], new))
+            history = (np.cumsum(live) - 1)[history]
+    return rows, history
 
 
 def run_statevector(circuit: Circuit) -> StateVector:
     """Noiseless final state of `circuit` with measurements stripped."""
     _check_cap(circuit.n_qubits)
-    state = _evolve(_plan(circuit, None, None), 1, circuit.n_qubits, None, None)
-    return StateVector(circuit.n_qubits, state.reshape(-1))
+    rows, _ = _evolve(_plan(circuit, None, None), 1, circuit.n_qubits, None, None)
+    return StateVector(circuit.n_qubits, rows.reshape(-1))
 
 
 def _measured_bit_distribution(full: np.ndarray, circuit: Circuit) -> ProbDist:
@@ -248,19 +264,19 @@ def _extract_measured_indices(samples: np.ndarray, circuit: Circuit) -> np.ndarr
     return out
 
 
-def _sample_rows(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+def _sample_rows(probs: np.ndarray, history: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One outcome index per shot: the first index whose normalized cumulative
-    sum reaches the shot's uniform draw.
+    sum of the shot's row `probs[history[shot]]` reaches the shot's uniform draw.
 
-    `probs` is either one (N,) row that every shot shares, searched with
-    `np.searchsorted`, or a (shots, N) array with one row per shot.
+    `probs` is (rows, N). One row, which every shot shares, is searched with
+    `np.searchsorted`.
     """
     cum = np.cumsum(probs, axis=-1)
-    cum /= cum[..., -1:]
-    u = rng.random(shots)
-    if cum.ndim == 1:
-        return np.searchsorted(cum, u)
-    return np.argmax(cum >= u[:, None], axis=1)
+    cum /= cum[:, -1:]
+    u = rng.random(len(history))
+    if len(cum) == 1:
+        return np.searchsorted(cum[0], u)
+    return np.argmax(cum[history] >= u[:, None], axis=1)
 
 
 def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None,
@@ -268,21 +284,18 @@ def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None
                  rng: np.random.Generator) -> np.ndarray:
     """One outcome index per shot of `plan`'s trajectories, after readout flips on `readout`.
 
-    If some op carries sites, chunks of trajectories are evolved and each
-    shot picks from its own row. Otherwise every trajectory is the same
-    state, so one state is evolved and every shot picks from it in one chunk.
+    If some op carries sites, the shots run in chunks of at most
+    `_CHUNK_AMPS >> n_qubits`, so a chunk's history rows fit that many
+    amplitudes. Otherwise every shot has the one history and runs in one chunk.
     """
     draws = any(sites for _, _, sites in plan)
     chunk = max(1, _CHUNK_AMPS >> n_qubits) if draws else shots
-    if not draws:
-        probs = np.abs(_evolve(plan, 1, n_qubits, None, rng).reshape(-1)) ** 2
     picks = []
     for start in range(0, shots, chunk):
         size = min(chunk, shots - start)
         part = offsets[start:start + size] if offsets is not None else None
-        if draws:
-            probs = np.abs(_evolve(plan, size, n_qubits, part, rng).reshape(size, -1)) ** 2
-        pick = _sample_rows(probs, size, rng)
+        rows, history = _evolve(plan, size, n_qubits, part, rng)
+        pick = _sample_rows(np.abs(rows.reshape(len(rows), -1)) ** 2, history, rng)
         if noise is not None:
             for q, flips in draw_readout_flips(noise, readout, part, size, rng):
                 pick ^= flips.astype(np.int64) << (n_qubits - 1 - q)

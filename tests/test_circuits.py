@@ -43,6 +43,45 @@ class TestGate:
         with pytest.raises(ValidationError):
             Gate(GateKind.PAULI, (0,), paulis="Q")
 
+    @pytest.mark.parametrize("kind, targets, fields, message", [
+        (GateKind.H, (0, 1), {}, "h expects 1 target(s), got 2"),
+        (GateKind.CX, (0,), {}, "cx expects 2 target(s), got 1"),
+        (GateKind.MEASURE, (0, 1), {"cbit": 0}, "measure expects 1 target(s), got 2"),
+        (GateKind.CX, (1, 1), {}, "cx targets must be distinct: (1, 1)"),
+        (GateKind.PAULI, (2, 2), {"paulis": "XZ"}, "pauli targets must be distinct: (2, 2)"),
+        (GateKind.BARRIER, (0, 3, 0), {}, "barrier targets must be distinct: (0, 3, 0)"),
+        (GateKind.H, (-1,), {}, "qubit indices must be nonnegative"),
+        (GateKind.SWAP, (0, -2), {}, "qubit indices must be nonnegative"),
+        (GateKind.RZ, (0,), {}, "rz needs a finite angle"),
+        (GateKind.RX, (0,), {"angle": float("nan")}, "rx needs a finite angle"),
+        (GateKind.RY, (0,), {"angle": float("inf")}, "ry needs a finite angle"),
+        (GateKind.H, (0,), {"angle": 0.5}, "h takes no angle"),
+        (GateKind.U2Q, (0, 1), {"matrix": np.eye(2)}, "u2q matrix must be 4x4"),
+        (GateKind.U2Q, (0, 1), {}, "u2q matrix must be 4x4"),
+        (GateKind.U2Q, (0, 1), {"matrix": 2 * np.eye(4)}, "u2q matrix is not unitary within 1e-10"),
+        (GateKind.U2Q, (0, 1), {"matrix": np.full((4, 4), np.nan)},
+         "u2q matrix is not unitary within 1e-10"),
+        (GateKind.CX, (0, 1), {"matrix": np.eye(4)}, "cx takes no matrix"),
+        (GateKind.PAULI, (), {"paulis": ""}, "pauli layer needs at least one target"),
+        (GateKind.PAULI, (0, 1), {}, "pauli letters must match target count"),
+        (GateKind.PAULI, (0, 1), {"paulis": "X"}, "pauli letters must match target count"),
+        (GateKind.PAULI, (0,), {"paulis": "Q"}, "bad pauli letters: 'Q'"),
+        (GateKind.PAULI, (0,), {"paulis": "X", "sign": 2}, "pauli sign must be +1 or -1"),
+        (GateKind.Z, (0,), {"paulis": "Z"}, "z takes no pauli letters"),
+        (GateKind.MEASURE, (0,), {}, "measure needs a nonnegative classical bit"),
+        (GateKind.MEASURE, (0,), {"cbit": -1}, "measure needs a nonnegative classical bit"),
+        (GateKind.RZ, (0,), {"angle": 0.1, "cbit": 0}, "rz takes no classical bit"),
+        (GateKind.BARRIER, (), {}, "barrier needs at least one target"),
+        # A gate with several faults reports the first, in field order.
+        (GateKind.H, (0,), {"angle": 0.5, "cbit": 0}, "h takes no angle"),
+        (GateKind.RZ, (0,), {"angle": float("nan"), "matrix": np.eye(4)}, "rz needs a finite angle"),
+        (GateKind.MEASURE, (0,), {"paulis": "X"}, "measure takes no pauli letters"),
+    ])
+    def test_every_invalid_field_is_rejected(self, kind, targets, fields, message):
+        with pytest.raises(ValidationError) as err:
+            Gate(kind, targets, **fields)
+        assert str(err.value) == message
+
     def test_unitaries_are_unitary(self):
         for g in [H(0), X(0), S(0), Sdg(0), Rz(0, 0.7), CX(0, 1), SWAP(0, 1)]:
             u = gate_unitary(g)

@@ -605,7 +605,7 @@ class TestCli:
         assert main(check) == 3
         assert json.loads(capsys.readouterr().out)["status"] == "discrepancies"
 
-    def test_check_reexecute_skips_errored_records(self, tmp_path):
+    def test_check_reexecute_skips_errored_records(self, tmp_path, capsys):
         doc = make_config().to_json()
         doc["protocols"] = [
             # strict by default: fewer than 100 circuits per width is a protocol error
@@ -617,31 +617,61 @@ class TestCli:
         report_path = tmp_path / "report.json"
         assert main(["--out", str(report_path), "run", "--config", str(config_path)]) == 0
         assert "error" in json.loads(report_path.read_text())["base"][0]
-        assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == 0
+        assert main(["check", "--report", str(report_path)]) == 0
+        # The errored QV record is skipped, so the requested re-execution covers nothing.
+        capsys.readouterr()
+        assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == 3
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["status"] == "unverifiable"
+        assert any("re-execution covered no circuit" in p for p in outcome["discrepancies"])
 
-    @pytest.mark.parametrize("edit, code", [
-        (lambda doc, qv: qv["config"].pop("shots"), 3),
-        (lambda doc, qv: qv.pop("seeds"), 3),
-        (lambda doc, qv: qv["items"][0].pop("width"), 3),
-        (lambda doc, qv: qv["items"][0].update(width="2"), 3),
-        (lambda doc, qv: doc["header"].pop("device"), 3),
-        (lambda doc, qv: qv.clear(), 0),
-        (lambda doc, qv: qv.update(items=None), 0),
+    @pytest.mark.parametrize("edit, status", [
+        (lambda doc, qv: qv["config"].pop("shots"), "discrepancies"),
+        (lambda doc, qv: qv.pop("seeds"), "discrepancies"),
+        (lambda doc, qv: qv["items"][0].pop("width"), "discrepancies"),
+        (lambda doc, qv: qv["items"][0].update(width="2"), "discrepancies"),
+        (lambda doc, qv: doc["header"].pop("device"), "discrepancies"),
+        (lambda doc, qv: qv.clear(), "unverifiable"),
+        (lambda doc, qv: qv.update(items=None), "unverifiable"),
     ], ids=["no-shots", "no-seeds", "no-width", "string-width", "no-device", "empty-record",
             "null-items"])
-    def test_check_reexecute_of_an_edited_report(self, tmp_path, report, capsys, edit, code):
-        # A record that is not a QV record with items is skipped; a QV record or
-        # header that cannot be re-executed is a discrepancy naming it.
+    def test_check_reexecute_of_an_edited_report(self, tmp_path, report, capsys, edit, status):
+        # A record that is not a QV record with items is skipped, so when no QV
+        # record is left the re-execution covers nothing and is unverifiable; a
+        # QV record or header that cannot be re-executed is a discrepancy naming it.
         doc = copy.deepcopy(report.doc)
         edit(doc, _record(doc, "quantum_volume"))
         report_path = tmp_path / "report.json"
         report_path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == code
-        if code:
-            problems = json.loads(capsys.readouterr().out)["discrepancies"]
+        assert main(["check", "--report", str(report_path), "--reexecute", "1"]) == 3
+        outcome = json.loads(capsys.readouterr().out)
+        assert outcome["status"] == status
+        if status == "discrepancies":
             assert any(p.startswith("re-execution: ") and ("Error" in p)
-                       and ("base:quantum_volume#rep0" in p or "header" in p) for p in problems)
+                       and ("base:quantum_volume#rep0" in p or "header" in p)
+                       for p in outcome["discrepancies"])
+        else:
+            assert outcome["discrepancies"] == [
+                "re-execution covered no circuit: no base quantum_volume record holds an item "
+                "with sample hashes"]
+
+    @pytest.mark.parametrize("field, value, annotation", [
+        ("width", "2", "int"), ("width", 2.0, "int"), ("width", True, "int"),
+        ("hogs", [0.8, "0.9"], "list[float]"), ("hogs", [0.8, False], "list[float]"),
+        ("hogs", 0.8, "list[float]"), ("sample_hashes", [1], "list[str]"),
+    ])
+    def test_plain_check_rejects_raw_fields_of_the_wrong_type(self, tmp_path, report, capsys,
+                                                              field, value, annotation):
+        doc = copy.deepcopy(report.doc)
+        _record(doc, "quantum_volume")["items"][0][field] = value
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", "--report", str(report_path)]) == 3
+        problems = json.loads(capsys.readouterr().out)["discrepancies"]
+        assert problems == [f"base:quantum_volume#rep0: record cannot be rebuilt (ValidationError: "
+                            f"QvWidthRecord.{field} is {type(value).__name__}, not {annotation})"]
 
     def test_parse_and_stats_commands(self, tmp_path):
         qasm = tmp_path / "c.qasm"

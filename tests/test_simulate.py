@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from stabilizer_reference import reference_outcome_space, reference_sample
 from statevector_reference import (
-    _apply_paulis, reference_amplitudes, reference_sample_counts, reference_sequence_unitary,
+    _apply_paulis, apply_unitary_batch, reference_amplitudes, reference_sample_counts,
+    reference_sequence_unitary,
 )
 
 from qbench import statevector
@@ -19,7 +20,7 @@ from qbench.device import DeviceModel
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
-from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, drift_rate_at
+from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, draw_site, drift_rate_at
 from qbench.cliffords import clifford_group
 from qbench.randgen import (
     haar_unitary, layered_model_circuit, make_mirror_circuit, random_clifford_circuit,
@@ -305,11 +306,20 @@ class TestExecutionPlan:
         np.testing.assert_allclose(run_statevector(circuit).amps, reference_amplitudes(circuit),
                                    atol=1e-12)
 
-    @given(_any_circuit(), _any_noise(), st.integers(1, 40), st.sampled_from([1, 3, 1 << 16]),
-           st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("noises", [
+        _any_noise(),
+        st.just(NoiseModel.uniform(p1=0.05, p2=0.3, readout=0.05)),
+        st.builds(lambda cycle, seed: NoiseModel.uniform(
+            p1=0.05, p2=0.3, readout=0.05, drift=DriftSchedule(cycle, 0.05, SeedStream(seed))),
+            st.sampled_from([(0.0,), (0.1, -0.3), (-0.05, 0.0, 0.2)]), st.integers(0, 1000)),
+    ], ids=["any", "heavy", "heavy_drift"])
+    @given(circuit=_any_circuit(), data=st.data(), shots=st.integers(1, 40),
+           chunk_rows=st.sampled_from([1, 3, 1 << 16]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300)
-    def test_noisy_samples_match_reference(self, circuit, noise, shots, chunk_rows, seed):
-        # chunk_rows << n amplitudes make chunks of chunk_rows trajectories.
+    def test_noisy_samples_match_reference(self, noises, circuit, data, shots, chunk_rows, seed):
+        # chunk_rows << n amplitudes make chunks of chunk_rows trajectories, so
+        # a chunk of a few rows splits shots that share their error history.
+        noise = data.draw(noises)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(statevector, "_CHUNK_AMPS", chunk_rows << circuit.n_qubits)
             fused = sample_counts(circuit, shots, noise, SeedStream(seed).generator())
@@ -324,10 +334,42 @@ class TestExecutionPlan:
         amps = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
         rows = np.flatnonzero(rng.random(batch) < 0.7)
         choices = rng.integers(0, len(PAULI_LABELS[len(qubits)]), size=len(rows))
-        state = amps.reshape((batch,) + (2,) * n).copy()
-        apply_paulis(state, qubits, rows, choices)
-        np.testing.assert_array_equal(state.reshape(batch, -1),
-                                      _apply_paulis(amps.copy(), qubits, rows, choices, n))
+        injected = amps.copy()
+        hit = amps[rows].reshape((len(rows),) + (2,) * n)
+        injected[rows] = apply_paulis(hit, qubits, choices).reshape(len(rows), -1)
+        np.testing.assert_array_equal(injected, _apply_paulis(amps.copy(), qubits, rows, choices, n))
+
+    @pytest.mark.parametrize("rate", [0.3, 1e-12], ids=["heavy", "never_hits"])
+    def test_evolve_keeps_one_row_per_distinct_history(self, rate):
+        # Replaying the draws gives each shot its history, the (op, site, label)
+        # of every hit; shots share a row exactly when they share a history,
+        # and each row is the reference state of its history.
+        c = Circuit.from_gates(3, [H(0), CX(0, 1), Ry(2, 0.7), CZ(1, 2),
+                                   PauliLayer([0, 2], "XZ"), CX(2, 0), S(1)])
+        plan = _plan(c, NoiseModel.uniform(p1=rate, p2=rate), None)
+        batch = 200
+        rows, history = statevector._evolve(plan, batch, 3, None, SeedStream(75).generator())
+        rng = SeedStream(75).generator()
+        histories = [()] * batch
+        for i, (_, _, sites) in enumerate(plan):
+            for j, (qubits, r) in enumerate(sites):
+                hit, choices = draw_site(r, None, batch, len(qubits), rng)
+                for shot, choice in zip(hit, choices):
+                    histories[shot] += ((i, j, int(choice)),)
+        row_of = dict(zip(histories, history.tolist()))
+        assert len(rows) == len(row_of) == len(set(row_of.values()))
+        assert all(row_of[h] == r for h, r in zip(histories, history.tolist()))
+        if rate < 1e-6:
+            assert len(rows) == 1
+        for hist, r in row_of.items():
+            amps = np.zeros((1, 8), dtype=complex)
+            amps[0, 0] = 1.0
+            for i, (targets, unitary, sites) in enumerate(plan):
+                amps = apply_unitary_batch(amps, unitary, targets, 3)
+                for j, (qubits, _) in enumerate(sites):
+                    for choice in [ch for op, site, ch in hist if (op, site) == (i, j)]:
+                        amps = _apply_paulis(amps, qubits, np.array([0]), np.array([choice]), 3)
+            np.testing.assert_allclose(rows[r].reshape(-1), amps[0], atol=1e-12)
 
     def test_drift_makes_zero_rate_gates_block_fusion(self):
         c = measure_all(Circuit.from_gates(2, [Rz(0, 0.3), H(1), CX(0, 1), Rx(1, 0.2), CX(0, 1)]))
