@@ -6,7 +6,7 @@ scale. Reports embed raw per-item records and seed ledgers, and can be
 arithmetically re-verified after the fact.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .circuits import (  # noqa: F401
     Circuit, CircuitStats, Gate, GateKind, PauliString, circuit_stats,

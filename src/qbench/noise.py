@@ -6,16 +6,20 @@ site over its targets; an n-qubit Pauli layer is n 1q sites at its 1q rate.
 Readout bits flip independently. A drift schedule adds a per-shot offset to
 every rate, gate and readout alike (RB's readout too); rates clip to [0, 1].
 
-Draw layout: for each gate in order, and each of its sites (`gate_sites`)
-whose clipped rate is above 0 for some shot, `rng.random(batch) < rates` then
-`rng.integers(0, len(labels), batch)`; then the outcome picks; then, for each
-measured qubit in order whose clipped readout rate is above 0 for some shot,
-one `rng.random(batch) < rates`. The statevector engine, which randomized
-benchmarking shares with one site per Clifford element, picks outcomes with
-one `rng.random(batch)`: each shot takes the first index whose normalized
-cumulative sum reaches its draw. The tableau sampler, with or without noise,
-picks with one `rng.integers(0, 2, (shots, k), uint8)`, row `shot` for each
-shot, when the ideal outcomes span k > 0 random bits.
+Draw layout: a sampling call draws every error it will use first, as one
+sparse table (`draw_errors`). Its site list is the gate sites that can fire
+for some shot, in gate order (`firing_sites`), then the measured qubits whose
+clipped readout rate is above 0 for some shot (`readout_sites`), each a
+one-label site whose hit is a flip. Only the hits are drawn: geometric gaps
+per site, drift thinning, then one label per hit (see `draw_errors`). Then
+come the outcome picks. The statevector engine, which randomized benchmarking
+shares with one site per Clifford element, picks with one `rng.random` per
+shot, chunk by chunk: each shot takes the first index whose normalized
+cumulative sum reaches its draw, and no chunk size changes a bit. The tableau
+sampler, with or without noise, picks with one `rng.integers(0, 2, (shots,
+k), uint8)`, row `shot` for each shot, when the ideal outcomes span k > 0
+random bits. So from one seed the two backends draw one table for a Clifford
+circuit.
 """
 from __future__ import annotations
 
@@ -190,13 +194,9 @@ class NoiseModel:
         )
 
 
-def _clipped(base: float, offsets: np.ndarray | None) -> np.ndarray | float:
-    return np.clip(base + offsets, 0.0, 1.0) if offsets is not None else base
-
-
 def can_fire(rate: float, offsets: np.ndarray | None) -> bool:
     """Whether a site or readout bit with base `rate` can fire for some shot under these offsets."""
-    return bool(np.any(_clipped(rate, offsets) > 0))
+    return rate + (0.0 if offsets is None else float(offsets.max())) > 0
 
 
 def gate_sites(noise: NoiseModel, gate: Gate) -> list[tuple[tuple[int, ...], float]]:
@@ -213,38 +213,80 @@ def gate_sites(noise: NoiseModel, gate: Gate) -> list[tuple[tuple[int, ...], flo
     return [(gate.targets, rate)]
 
 
-def draw_site(rate: float, offsets: np.ndarray | None, batch: int, n_qubits: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray] | None:
-    """(hit shots, index into `PAULI_LABELS[n_qubits]` per hit), or None if the site cannot fire.
+def firing_sites(noise: NoiseModel | None, gates, offsets: np.ndarray | None
+                 ) -> list[list[tuple[tuple[int, ...], float]]]:
+    """For each gate, its sites (`gate_sites`) that can fire for some shot under `offsets`.
 
-    The choice is drawn for every shot, so the layout does not depend on the hits.
+    Flattened in gate order, these are a call's gate sites, the first part of
+    the site list that `draw_errors` reads; both samplers build it here, so
+    one seed gives them one error table. Decided once per (kind, targets).
     """
-    p = _clipped(rate, offsets)
-    if not np.any(p > 0):
-        return None
-    hit = rng.random(batch) < p
-    choice = rng.integers(0, len(PAULI_LABELS[n_qubits]), size=batch)
-    rows = np.flatnonzero(hit)
-    return rows, choice[rows]
+    if noise is None:
+        return [[] for _ in gates]
+    decided: dict[tuple, list] = {}
+    sites = []
+    for gate in gates:
+        key = (gate.kind, gate.targets)
+        if key not in decided:
+            decided[key] = [s for s in gate_sites(noise, gate) if can_fire(s[1], offsets)]
+        sites.append(decided[key])
+    return sites
 
 
-def draw_gate_errors(noise: NoiseModel, gate: Gate, offsets: np.ndarray | None, batch: int,
-                     rng: np.random.Generator) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
-    """(qubits, hit shots, label index per hit) for every site of `gate` that can fire."""
-    drawn = []
-    for qubits, rate in gate_sites(noise, gate):
-        site = draw_site(rate, offsets, batch, len(qubits), rng)
-        if site is not None:
-            drawn.append((qubits, *site))
-    return drawn
+def readout_sites(noise: NoiseModel | None, qubits, offsets: np.ndarray | None
+                  ) -> list[tuple[int, float]]:
+    """(qubit, base readout rate) of each of `qubits`, in order, whose readout can flip."""
+    if noise is None:
+        return []
+    return [(q, noise.readout_for(q)) for q in qubits if can_fire(noise.readout_for(q), offsets)]
 
 
-def draw_readout_flips(noise: NoiseModel, qubits, offsets: np.ndarray | None, batch: int,
-                       rng: np.random.Generator) -> list[tuple[int, np.ndarray]]:
-    """(qubit, per-shot flip mask) for each measured qubit, in order, whose readout can flip."""
-    flips = []
-    for q in qubits:
-        p = _clipped(noise.readout_for(q), offsets)
-        if np.any(p > 0):
-            flips.append((q, rng.random(batch) < p))
-    return flips
+def draw_errors(sites: list[tuple[tuple[int, ...], float]], readout: list[tuple[int, float]],
+                offsets: np.ndarray | None, shots: int, rng: np.random.Generator
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every error of a call as one sparse table: (site, shot, label) arrays,
+    sorted by site, then shot.
+
+    Site j < len(sites) is gate site `sites[j]`, whose label indexes
+    `PAULI_LABELS[len(qubits)]`; site len(sites) + i is readout bit
+    `readout[i]`, whose one label 0 is a flip. Each (site, shot) is hit
+    independently, at most once, with probability clip(rate + offsets[shot],
+    0, 1). Each site walks its shots by geometric gaps at its largest clipped
+    rate p, floor(log1p(-u) / log1p(-p)) misses before each candidate, one
+    `rng.random` double u per gap. The walks run in rounds: each round, every
+    unfinished site in order takes a block of min(left + 1, floor(m + 4 sqrt(m)
+    + 2)) doubles, m = p * left, where `left` counts its shots not yet walked;
+    a site is finished once a gap passes its last shot, and doubles of its block
+    after that go unused. Under drift, one `rng.random` per candidate, in table
+    order, keeps it with probability rate / p. Last, one `rng.random` per hit
+    u gives its label floor(u * labels). Memory is O(sites + hits), and a site
+    that cannot fire draws nothing.
+    """
+    rates = np.array([r for _, r in sites] + [r for _, r in readout], dtype=float)
+    labels = np.array([len(PAULI_LABELS[len(q)]) for q, _ in sites] + [1] * len(readout))
+    top = np.clip(rates + (offsets.max() if offsets is not None else 0.0), 0.0, 1.0)
+    log_miss = np.log1p(-top, out=np.full(len(top), -np.inf), where=top < 1)  # -inf: no miss
+    walked = np.zeros(len(rates), dtype=np.int64)  # shots each site has walked past
+    todo = np.flatnonzero(top > 0)
+    found = [np.zeros(0, dtype=np.int64)]  # (site * shots + shot) of each candidate
+    while todo.size:
+        left = shots - walked[todo]
+        mean = top[todo] * left
+        block = np.minimum(left + 1, (mean + 4 * np.sqrt(mean) + 2).astype(np.int64))
+        owner = np.repeat(todo, block)
+        gap = np.floor(np.log1p(-rng.random(len(owner))) / log_miss[owner])
+        step = np.minimum(gap, shots).astype(np.int64) + 1
+        ends = np.cumsum(block)
+        total = np.cumsum(step)
+        before = np.repeat(total[ends - block] - step[ends - block] - walked[todo] + 1, block)
+        pos = total - before
+        found.append(owner[pos < shots] * shots + pos[pos < shots])
+        walked[todo] = pos[ends - 1] + 1
+        todo = todo[walked[todo] < shots]
+    key = np.sort(np.concatenate(found))
+    site, shot = np.divmod(key, shots)
+    if offsets is not None:
+        keep = rng.random(len(key)) < np.clip(rates[site] + offsets[shot], 0.0, 1.0) / top[site]
+        site, shot = site[keep], shot[keep]
+    label = (rng.random(len(site)) * labels[site]).astype(np.int64)
+    return site, shot, label

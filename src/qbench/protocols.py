@@ -310,12 +310,23 @@ def fit_rb_decay(lengths: list[int], survival_means: list[float],
     p = 0.99, B = 1/2^n. Each step is clipped into the box, and a parameter
     that sits at a bound with its gradient pointing out of the box is held
     there for that step. The search stops when a step lowers the squared
-    residual by a relative 1e-15 or less, or when no step lowers it.
+    residual by a relative 1e-15 or less, or when no step lowers it. If it
+    stops on the p = 1 face, where the model is a constant, it runs once more
+    from p = 0.5, and the fit with the lower residual is kept.
     """
     dim = 1 << n_qubits
     m = np.asarray(lengths, dtype=float)
     y = np.asarray(survival_means, dtype=float)
-    theta = np.array([1.0 - 1.0 / dim, 0.99, 1.0 / dim])
+    fit = _fit_search(m, y, np.array([1.0 - 1.0 / dim, 0.99, 1.0 / dim]))
+    if fit[1] == 1.0:
+        fit = min(fit, _fit_search(m, y, np.array([1.0 - 1.0 / dim, 0.5, 1.0 / dim])),
+                  key=lambda f: f[3])
+    return fit
+
+
+def _fit_search(m: np.ndarray, y: np.ndarray, theta: np.ndarray
+                ) -> tuple[float, float, float, float]:
+    """`fit_rb_decay`'s search from the start `theta` = (A, p, B)."""
 
     def residuals(t: np.ndarray) -> np.ndarray:
         return t[0] * t[1] ** m + t[2] - y

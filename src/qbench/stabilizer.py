@@ -12,12 +12,15 @@ c0 xor span(basis), which is extracted once by Gaussian elimination and then
 sampled with vectorized bit algebra.
 
 Noisy circuits are sampled with Pauli frames, as in Stim (Gidney, Quantum 5,
-497 (2021)): the ideal tableau is evolved once, and each shot carries only
-the X and Z bits of the Pauli its errors add up to, conjugated through the
-gates that follow them. Signs are dropped, since they do not change outcomes.
-A frame's X bits flip outcome bits and its Z bits leave them alone, so a
-shot's outcomes are uniform over c0 xor frame_x xor span(basis). A noiseless
-circuit is the case where every frame is zero, so none is pushed.
+497 (2021)): each shot carries only the X and Z bits of the Pauli its errors
+add up to, conjugated through the gates that follow them. Signs are dropped,
+since they do not change outcomes. A frame's X bits flip outcome bits and its
+Z bits leave them alone, so a shot's outcomes are uniform over c0 xor frame_x
+xor span(basis). The call's errors come first, as the one sparse table of
+`qbench.noise.draw_errors` that the statevector sampler reads too; then the
+ideal tableau's columns and the frames go through one gate loop (`_run`),
+each gate's hits XORed into the frames after it; then the outcome picks.
+A noiseless circuit is the case with no frames and no table.
 
 The same row representation doubles as an exact group-element encoding for
 Clifford enumeration.
@@ -29,7 +32,7 @@ import numpy as np
 from .circuits import Circuit, Gate, GateKind
 from .distributions import SampleSet
 from .errors import NonCliffordError, ValidationError
-from .noise import PAULI_BITS, NoiseModel, draw_gate_errors, draw_readout_flips
+from .noise import PAULI_BITS, NoiseModel, draw_errors, firing_sites, readout_sites
 
 STABILIZER_WIDTH_CAP = 1000
 
@@ -142,22 +145,51 @@ def _row_reduce(x: np.ndarray, z: np.ndarray, r: np.ndarray, block: np.ndarray) 
 
 
 def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:
-    """Counts of the measured bit columns, keyed from the bit rows so that any width fits."""
-    rows, freq = np.unique(bits[:, list(measured)], axis=0, return_counts=True)
-    keys = [(row + ord("0")).tobytes().decode() for row in rows]
-    return SampleSet(len(measured), dict(zip(keys, freq.tolist())))
+    """Counts of the measured bit columns, keyed from the bit rows so that any width fits.
+
+    Each shot's bits become one fixed-width bytes key, so one 1-D `np.unique`
+    sorts and counts them.
+    """
+    chars = np.ascontiguousarray(bits[:, list(measured)] + ord("0"))
+    keys, freq = np.unique(chars.view(f"S{len(measured)}").ravel(), return_counts=True)
+    return SampleSet(len(measured), dict(zip((k.decode() for k in keys.tolist()), freq.tolist())))
 
 
-def evolve_tableau(circuit: Circuit) -> StabilizerTableau:
-    """The ideal tableau after `circuit`, which must be Clifford and measure only at the end."""
+def _run(circuit: Circuit, frames: int = 0, errors: dict | None = None
+         ) -> tuple[StabilizerTableau, np.ndarray]:
+    """The one gate loop: the ideal tableau after `circuit`, and the X bits,
+    shape (n, frames), of `frames` Pauli frames pushed through it.
+
+    The tableau's columns (qubit q's bits across its 2n rows) and the frames
+    sit side by side in one (n, 2n + frames) X/Z pair, so each gate is one
+    `_push_frame` call; `_sign_flips` reads the tableau columns only. After
+    gate i, `errors[i]` = (qubits, frames, x bits, z bits), if there, is XORed
+    into the frames. `circuit` must be Clifford and measure only at the end.
+    """
     if circuit.metadata.get("mid_measure"):
         raise NonCliffordError("mid-circuit measurement is not supported by the tableau sampler")
     if circuit.n_qubits > STABILIZER_WIDTH_CAP:
         raise ValidationError(f"width {circuit.n_qubits} exceeds the tableau cap {STABILIZER_WIDTH_CAP}")
-    tab = StabilizerTableau(circuit.n_qubits)
-    for g in circuit.all_gates():
-        tab.apply_gate(g)
-    return tab
+    n = circuit.n_qubits
+    tab = StabilizerTableau(n)
+    x = np.concatenate((tab.x.T, np.zeros((n, frames), np.uint8)), axis=1)
+    z = np.concatenate((tab.z.T, np.zeros((n, frames), np.uint8)), axis=1)
+    tx, tz, fx, fz = x[:, :2 * n], z[:, :2 * n], x[:, 2 * n:], z[:, 2 * n:]
+    errors = errors or {}
+    for i, gate in enumerate(circuit.all_gates()):
+        tab.r ^= _sign_flips(tx, tz, gate)
+        _push_frame(x, z, gate)
+        if i in errors:
+            qubits, cols, x_bits, z_bits = errors[i]
+            fx[qubits, cols] ^= x_bits
+            fz[qubits, cols] ^= z_bits
+    tab.x, tab.z = tx.T.copy(), tz.T.copy()
+    return tab, fx
+
+
+def evolve_tableau(circuit: Circuit) -> StabilizerTableau:
+    """The ideal tableau after `circuit`, which must be Clifford and measure only at the end."""
+    return _run(circuit)[0]
 
 
 def deterministic_outcome(circuit: Circuit) -> str | None:
@@ -227,42 +259,68 @@ def _sign_flips(x: np.ndarray, z: np.ndarray, gate: Gate):
     raise NonCliffordError(f"gate {k.value} is not Clifford")
 
 
+def _frame_errors(sites_per_gate: list[list], site: np.ndarray, shot: np.ndarray,
+                  label: np.ndarray) -> dict[int, tuple]:
+    """Gate-site hits of an error table, as `_run`'s errors: for each gate with a
+    hit, (qubits, shots, x bits, z bits), one entry per qubit of each hit."""
+    sites = [qubits for gate_sites in sites_per_gate for qubits, _ in gate_sites]
+    gate_of = np.repeat(np.arange(len(sites_per_gate)), [len(s) for s in sites_per_gate])
+    width = np.array([len(q) for q in sites], dtype=np.int64)[site]
+    ends = np.array([(q[0], q[-1]) for q in sites], dtype=np.int64).reshape(-1, 2)
+    entries = []  # (hit, qubit, x bit, z bit) for qubit j of each hit on a k-qubit site
+    for k, (x_bits, z_bits) in PAULI_BITS.items():
+        hit = np.flatnonzero(width == k)
+        for j in range(k):
+            entries.append((hit, ends[site[hit], j], x_bits[label[hit], j], z_bits[label[hit], j]))
+    hit, qubit, xb, zb = (np.concatenate(column) for column in zip(*entries))
+    order = np.argsort(hit, kind="stable")  # the table's order, which is gate order
+    hit, qubit, xb, zb = hit[order], qubit[order], xb[order], zb[order]
+    gates, first = np.unique(gate_of[site[hit]], return_index=True)
+    cuts = np.append(first, len(hit))
+    return {g: (qubit[a:b], shot[hit[a:b]], xb[a:b], zb[a:b])
+            for g, a, b in zip(gates.tolist(), cuts[:-1], cuts[1:])}
+
+
 def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
                       noise: NoiseModel | None = None) -> SampleSet:
     """Sample measurement outcomes of a Clifford circuit.
 
-    The ideal tableau is evolved once. With a nontrivial noise model, each
-    shot gets a Pauli frame, X and Z bits per qubit, that is pushed through
-    the gates; after each gate, the errors `qbench.noise` draws for it (for all
-    shots, as the statevector sampler draws one chunk) are XORed into the
-    frames. Without one, no errors are drawn and every frame stays zero. A
-    shot's outcome is c0 xor its frame's X bits, reduced to the coset
-    representative that is 0 on the free columns of the basis, xor the basis
-    rows it picks with row `shot` of one `rng.integers(0, 2, (shots, k),
-    uint8)` draw. So every shot gets the bits a tableau evolved with its own
-    errors would give. The readout flips are drawn and applied last.
+    With a nontrivial noise model, the call's error table is drawn first
+    (`qbench.noise.draw_errors` over the gate sites of `firing_sites`, then
+    the measured qubits' readout bits), and each shot gets a Pauli frame, X
+    and Z bits per qubit. The ideal tableau and the frames are evolved in one
+    gate loop, each gate's hits XORed into the frames after it. Without one,
+    no table is drawn and there are no frames. A shot's outcome is c0 xor its
+    frame's X bits, reduced to the coset representative that is 0 on the free
+    columns of the basis, xor the basis rows it picks with row `shot` of one
+    `rng.integers(0, 2, (shots, k), uint8)` draw. So every shot gets the bits
+    a tableau evolved with its own errors would give. The table's readout
+    flips are applied last.
     """
-    tab = evolve_tableau(circuit)
     if shots <= 0:
         raise ValidationError("shots must be positive")
     n = circuit.n_qubits
     measured = circuit.measured_qubits() or tuple(range(n))
     if noise is not None and noise.is_trivial:
-        noise = None  # draws no errors and pushes no frames
+        noise = None  # draws no table and pushes no frames
 
-    c0, basis = tab.outcome_space()
-    bits = np.broadcast_to(c0, (shots, n)).copy()
+    frames, errors, flips = 0, None, None
     if noise is not None:
         offsets = noise.shot_offsets(shots)
-        fx = np.zeros((n, shots), dtype=np.uint8)
-        fz = np.zeros((n, shots), dtype=np.uint8)
-        for gate in circuit.all_gates():
-            _push_frame(fx, fz, gate)
-            for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
-                x_bits, z_bits = PAULI_BITS[len(qubits)]
-                for j, q in enumerate(qubits):
-                    fx[q, rows] ^= x_bits[choices, j]
-                    fz[q, rows] ^= z_bits[choices, j]
+        sites_per_gate = firing_sites(noise, list(circuit.all_gates()), offsets)
+        n_sites = sum(len(sites) for sites in sites_per_gate)
+        readout = readout_sites(noise, measured, offsets)
+        site, shot, label = draw_errors([s for sites in sites_per_gate for s in sites], readout,
+                                        offsets, shots, rng)
+        on_gate = site < n_sites
+        frames = shots
+        errors = _frame_errors(sites_per_gate, site[on_gate], shot[on_gate], label[on_gate])
+        readout_qubit = np.array([q for q, _ in readout], dtype=np.int64)
+        flips = (shot[~on_gate], readout_qubit[site[~on_gate] - n_sites])
+    tab, fx = _run(circuit, frames, errors)
+    c0, basis = tab.outcome_space()
+    bits = np.broadcast_to(c0, (shots, n)).copy()
+    if frames:
         bits ^= fx.T
     k = basis.shape[0]
     if k:
@@ -272,7 +330,6 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
         free = n - 1 - np.argmax(basis[:, ::-1], axis=1)
         picks = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
         bits ^= ((bits[:, free] ^ picks) @ basis) & 1
-    if noise is not None:
-        for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
-            bits[:, q] ^= flips
+    if flips is not None:
+        np.bitwise_xor.at(bits, flips, np.uint8(1))
     return _sample_set(bits, measured)

@@ -6,18 +6,21 @@ and a (shots,) index gives each shot's row.
 
 Every sampler runs one trajectory engine. A circuit compiles once per call
 into an execution plan, a list of (targets, fused unitary, sites), where the
-sites are the (qubits, rate) pairs of `qbench.noise.gate_sites` that can fire
-for some shot of the call; randomized benchmarking builds its plan directly,
-one op per Clifford element with one site at the element rate. The engine
-applies each op to every row with one kernel (`np.tensordot` of the unitary
-with the target axes, then `np.moveaxis` to put them back) and draws each of
-its sites right after it for every shot of the chunk, so the draw layout of
-`qbench.noise` holds. The hit shots of a site are grouped by (row, drawn
-label): each group gets one new row, its parent with the Pauli applied, and
-rows that no shot points to any more are dropped. So shots whose errors
-agree so far share one row, and the work follows the distinct histories,
-not the shots. A plan with no sites, the noiseless one included, is the
-one-history case: one row for every shot, picked from in one chunk.
+sites are the (qubits, rate) pairs of `qbench.noise.firing_sites`, those that
+can fire for some shot of the call; randomized benchmarking builds its plan
+directly, one op per Clifford element with one site at the element rate. A
+call first draws its whole error table with `qbench.noise.draw_errors`: the
+plan's sites in order, then its readout bits. Then it picks outcomes, one
+`rng.random` per shot, and nothing else is drawn, so how the shots are
+chunked to bound memory changes no bit. The engine applies each op to every
+row with one kernel (`np.tensordot` of the unitary with the target axes,
+then `np.moveaxis` to put them back) and then reads each of its sites' hits
+from the table. The hit shots of a site are grouped by (row, label): each
+group gets one new row, its parent with the Pauli applied, and rows that no
+shot points to any more are dropped. So shots whose errors agree so far
+share one row, and the work follows the distinct histories, not the shots.
+A plan with no sites, the noiseless one included, is the one-history case:
+one row for every shot, picked from in one chunk.
 
 Every shot's outcome follows one rule: the first index whose normalized
 cumulative sum reaches the shot's uniform draw (`_sample_rows`). Each shot
@@ -43,7 +46,7 @@ import numpy as np
 from .circuits import Circuit, GateKind, _kron, _swap_pair, gate_unitary, pauli_matrix
 from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
-from .noise import PAULI_BITS, NoiseModel, can_fire, draw_readout_flips, draw_site, gate_sites
+from .noise import PAULI_BITS, NoiseModel, draw_errors, firing_sites, readout_sites
 
 STATEVECTOR_WIDTH_CAP = 24
 
@@ -131,38 +134,31 @@ _I2 = np.eye(2, dtype=complex)
 
 def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
           ) -> list[tuple[tuple[int, ...], np.ndarray, list[tuple[tuple[int, ...], float]]]]:
-    """The circuit as fused ops: (targets, unitary, sites drawn right after it).
+    """The circuit as fused ops: (targets, unitary, sites whose errors follow it).
 
-    A gate's sites are the (qubits, rate) pairs of `gate_sites` that can fire
-    for some shot under the call's `offsets`, decided once per (kind,
-    targets). A 1q gate folds into the next op on its qubit, and a 2q gate
+    A gate's sites are those `firing_sites` gives it under the call's
+    `offsets`. A 1q gate folds into the next op on its qubit, and a 2q gate
     merges into the last op on both its qubits when that op is on the same
     pair. A gate with sites closes its op: nothing merges into an op that
-    carries sites. Ops with sites stay in gate order, so the draws keep the
-    layout of `qbench.noise`.
+    carries sites. Ops with sites stay in gate order, so the plan's sites,
+    read in order, are the call's site list of `qbench.noise.draw_errors`.
     """
     ops: list[list] = []
     last: dict[int, int] = {}
     pending: dict[int, np.ndarray] = {}
-    sites_of: dict[tuple, list] = {}
 
     def emit(targets, unitary, sites=()):
         ops.append([targets, unitary, list(sites)])
         for q in targets + tuple(q for qubits, _ in sites for q in qubits):
             last[q] = len(ops) - 1
 
-    for gate in circuit.all_gates():
+    gates = list(circuit.all_gates())
+    for gate, sites in zip(gates, firing_sites(noise, gates, offsets)):
         if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
             continue
-        sites = []
-        if noise is not None:
-            key = (gate.kind, gate.targets)
-            if key not in sites_of:
-                sites_of[key] = [s for s in gate_sites(noise, gate) if can_fire(s[1], offsets)]
-            sites = sites_of[key]
         if gate.kind is GateKind.PAULI:
             # The letters are 1q gates (the layer's sign is a global phase). A noisy
-            # layer emits its targets' pending 1q ops; the last target's carries the draws.
+            # layer emits its targets' pending 1q ops; the last target's carries the sites.
             for q, letter in zip(gate.targets, gate.paulis):
                 if letter != "I":
                     pending[q] = pauli_matrix(letter) @ pending.get(q, _I2)
@@ -193,28 +189,33 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
     return [tuple(op) for op in ops]
 
 
-def _evolve(plan: list, batch: int, n_qubits: int, offsets: np.ndarray | None,
-            rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+def _evolve(plan: list, batch: int, n_qubits: int,
+            errors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """`batch` trajectories of `plan` from |0...0>, one row per distinct error history.
 
-    Returns (rows, history): shot i's state is `rows[history[i]]`. Every shot
-    starts on one |0...0> row. Each op's unitary acts on every row, then each
-    of its sites is drawn for all `batch` shots (with these per-shot
-    offsets). The hit shots are grouped by (row, drawn label), each group
-    gets one new row, its parent with that Pauli applied, and rows that no
-    shot points to any more are dropped.
+    `errors` is the (site, shot, label) table of these shots, sorted by site,
+    with the plan's sites numbered in order. Returns (rows, history): shot
+    i's state is `rows[history[i]]`. Every shot starts on one |0...0> row.
+    Each op's unitary acts on every row, then each of its sites' hits are
+    grouped by (row, label): each group gets one new row, its parent with
+    that Pauli applied, and rows that no shot points to any more are dropped.
     """
     rows = zero_state(1, n_qubits)
     history = np.zeros(batch, dtype=np.intp)
+    site, shot, label = errors if errors is not None else (np.zeros(0, np.int64),) * 3
+    bounds = np.searchsorted(site, np.arange(sum(len(sites) for _, _, sites in plan) + 1))
+    j = 0  # the plan's running site number
     for targets, unitary, sites in plan:
         rows = apply_unitary(rows, unitary, targets)
-        for qubits, rate in sites:
-            drawn = draw_site(rate, offsets, batch, len(qubits), rng)
-            if drawn is None or not len(drawn[0]):
+        for qubits, _ in sites:
+            lo, hi = bounds[j], bounds[j + 1]
+            j += 1
+            if lo == hi:
                 continue
-            hit, choices = drawn
+            hit = shot[lo:hi]
             key = 4 ** len(qubits)  # above every label index of the site
-            groups, group = np.unique(history[hit] * key + choices, return_inverse=True)
+            groups, group = np.unique(history[hit] * key + label[lo:hi], return_inverse=True)
             new = apply_paulis(rows[groups // key], qubits, groups % key)
             history[hit] = len(rows) + group
             live = np.bincount(history, minlength=len(rows) + len(new)) > 0
@@ -226,7 +227,7 @@ def _evolve(plan: list, batch: int, n_qubits: int, offsets: np.ndarray | None,
 def run_statevector(circuit: Circuit) -> StateVector:
     """Noiseless final state of `circuit` with measurements stripped."""
     _check_cap(circuit.n_qubits)
-    rows, _ = _evolve(_plan(circuit, None, None), 1, circuit.n_qubits, None, None)
+    rows, _ = _evolve(_plan(circuit, None, None), 1, circuit.n_qubits)
     return StateVector(circuit.n_qubits, rows.reshape(-1))
 
 
@@ -284,31 +285,39 @@ def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None
                  rng: np.random.Generator) -> np.ndarray:
     """One outcome index per shot of `plan`'s trajectories, after readout flips on `readout`.
 
-    If some op carries sites, the shots run in chunks of at most
+    The call's error table is drawn first, for every shot: the plan's sites
+    in order, then the bits of `readout` whose readout can flip. If some op
+    carries sites, the shots then run in chunks of at most
     `_CHUNK_AMPS >> n_qubits`, so a chunk's history rows fit that many
-    amplitudes. Otherwise every shot has the one history and runs in one chunk.
+    amplitudes; otherwise every shot has the one history and runs in one
+    chunk. Each chunk picks its outcomes with one `rng.random(size)`, so the
+    chunk size does not change a bit.
     """
-    draws = any(sites for _, _, sites in plan)
-    chunk = max(1, _CHUNK_AMPS >> n_qubits) if draws else shots
+    sites = [s for _, _, op_sites in plan for s in op_sites]
+    flips = readout_sites(noise, readout, offsets)
+    site, shot, label = draw_errors(sites, flips, offsets, shots, rng)
+    chunk = max(1, _CHUNK_AMPS >> n_qubits) if sites else shots
     picks = []
     for start in range(0, shots, chunk):
         size = min(chunk, shots - start)
-        part = offsets[start:start + size] if offsets is not None else None
-        rows, history = _evolve(plan, size, n_qubits, part, rng)
-        pick = _sample_rows(np.abs(rows.reshape(len(rows), -1)) ** 2, history, rng)
-        if noise is not None:
-            for q, flips in draw_readout_flips(noise, readout, part, size, rng):
-                pick ^= flips.astype(np.int64) << (n_qubits - 1 - q)
-        picks.append(pick)
-    return np.concatenate(picks)
+        inside = (shot >= start) & (shot < start + size)
+        rows, history = _evolve(plan, size, n_qubits,
+                                (site[inside], shot[inside] - start, label[inside]))
+        picks.append(_sample_rows(np.abs(rows.reshape(len(rows), -1)) ** 2, history, rng))
+    pick = np.concatenate(picks)
+    flipped = site >= len(sites)
+    if flipped.any():
+        qubit = np.array([q for q, _ in flips])[site[flipped] - len(sites)]
+        np.bitwise_xor.at(pick, shot[flipped], np.left_shift(1, n_qubits - 1 - qubit))
+    return pick
 
 
 def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
                   rng: np.random.Generator) -> SampleSet:
     """Sample `shots` measurement outcomes, with optional trajectory noise.
 
-    Noise follows the trajectory channel and draw layout of `qbench.noise`,
-    drawn per chunk of trajectories.
+    Noise follows the trajectory channel of `qbench.noise`: the call's error
+    table is drawn first, then the outcome picks.
     """
     _check_cap(circuit.n_qubits)
     if shots <= 0:

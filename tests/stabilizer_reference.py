@@ -1,8 +1,9 @@
 """Reference tableau sampler: one tableau per shot, evolved with that shot's errors.
 
-It draws exactly what `qbench.stabilizer.stabilizer_sample` draws (every gate's
-errors for all shots, then one (shots, k) array of outcome picks, then the
-readout flips), but reads each shot's outcome from its own noisy tableau's
+It draws exactly what `qbench.stabilizer.stabilizer_sample` draws (the call's
+error table over a site list it builds on its own from `gate_sites`, then one
+(shots, k) array of outcome picks) and applies the table's readout flips
+last, but it reads each shot's outcome from its own noisy tableau's
 `outcome_space` and its own row of picks. It is slow and obviously right, so
 the Pauli-frame sampler is checked against it count for count, with and
 without noise. The Clifford group search below does the same for the stacked
@@ -17,7 +18,7 @@ from qbench.circuits import Circuit, Gate, GateKind, PauliLayer
 from qbench.cliffords import _GENERATORS
 from qbench.distributions import SampleSet
 from qbench.errors import ValidationError
-from qbench.noise import PAULI_LABELS, NoiseModel, draw_gate_errors, draw_readout_flips
+from qbench.noise import PAULI_LABELS, NoiseModel, can_fire, draw_errors, gate_sites
 from qbench.stabilizer import StabilizerTableau, _sample_set, evolve_tableau
 
 
@@ -32,12 +33,20 @@ def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
     gates = [g for g in circuit.all_gates() if g.kind not in (GateKind.MEASURE, GateKind.BARRIER)]
     # Sparse per-shot error lists of (gate position, qubits, Pauli label), in gate order.
     errors: list[list[tuple[int, tuple[int, ...], str]]] = [[] for _ in range(shots)]
+    flips: list[tuple[int, int]] = []  # (shot, qubit) of each readout flip
     if noise is not None:
-        for pos, gate in enumerate(gates):
-            for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, shots, rng):
-                labels = PAULI_LABELS[len(qubits)]
-                for shot, choice in zip(rows.tolist(), choices.tolist()):
-                    errors[shot].append((pos, qubits, labels[choice]))
+        sites = [(pos, qubits, rate) for pos, gate in enumerate(gates)
+                 for qubits, rate in gate_sites(noise, gate) if can_fire(rate, offsets)]
+        readout = [(q, noise.readout_for(q)) for q in measured
+                   if can_fire(noise.readout_for(q), offsets)]
+        table = draw_errors([(qubits, rate) for _, qubits, rate in sites], readout, offsets,
+                            shots, rng)
+        for site, shot, label in zip(*(column.tolist() for column in table)):
+            if site < len(sites):
+                pos, qubits, _ = sites[site]
+                errors[shot].append((pos, qubits, PAULI_LABELS[len(qubits)][label]))
+            else:
+                flips.append((shot, readout[site - len(sites)][0]))
 
     spaces = []
     for shot in range(shots):
@@ -56,9 +65,8 @@ def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
     bits = np.empty((shots, n), dtype=np.uint8)
     for shot, (c0, basis) in enumerate(spaces):
         bits[shot] = c0 ^ ((picks[shot] @ basis) & 1)
-    if noise is not None:
-        for q, flips in draw_readout_flips(noise, measured, offsets, shots, rng):
-            bits[:, q] ^= flips
+    for shot, q in flips:
+        bits[shot, q] ^= 1
     return _sample_set(bits, measured)
 
 

@@ -6,9 +6,11 @@ the Clifford tables' kron-and-permute unitaries (`reference_sequence_unitary`),
 which `CliffordGroup.unitary` must match entry for entry.
 
 Every gate becomes its own transpose, matrix product and inverse transpose on a
-(batch, 2**n) array, and each drawn Pauli a matrix product on the copied hit
-rows. It draws exactly what `qbench.statevector.sample_counts` draws (the same
-chunks, gate errors in gate order, outcome picks, readout flips), so the fused
+(batch, 2**n) array, and each hit Pauli a matrix product on the copied hit
+rows. It builds each call's site list on its own, from `gate_sites` and
+`can_fire` gate by gate, reads the one error table `qbench.noise.draw_errors`
+draws for it, and then picks every shot's outcome at once, as
+`qbench.statevector.sample_counts` does in any chunking. So the fused
 execution plan is checked against it amplitude for amplitude and count for
 count. Outcomes are picked by counting, per shot, the normalized cumulative
 sums below its draw; the simulator finds the same index by search.
@@ -17,14 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from qbench import statevector
 from qbench.circuits import Circuit, Gate, GateKind, gate_unitary, pauli_matrix
 from qbench.cliffords import clifford_group
 from qbench.distributions import SampleSet
-from qbench.noise import (
-    PAULI_LABELS, NoiseModel, can_fire, draw_gate_errors, draw_readout_flips, draw_site,
-    gate_sites,
-)
+from qbench.noise import PAULI_LABELS, NoiseModel, can_fire, draw_errors, gate_sites
 from qbench.rng import SeedStream
 from qbench.statevector import _extract_measured_indices
 
@@ -105,48 +103,42 @@ def _first_reaching(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum < u[:, None]).sum(axis=1).astype(np.int64)
 
 
-def _readout(samples: np.ndarray, circuit: Circuit, noise: NoiseModel | None,
-             offsets: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-    if noise is None:
-        return samples
-    n = circuit.n_qubits
-    measured = circuit.measured_qubits() or tuple(range(n))
-    for q, flips in draw_readout_flips(noise, measured, offsets, samples.shape[0], rng):
-        samples = samples ^ (flips.astype(np.int64) << (n - 1 - q))
-    return samples
+def _sample_with_table(steps, sites_per_step, readout, offsets, shots: int, n_qubits: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Outcome index per shot from |0...0>: the call's table, then each step
+    (a function of the amplitudes) and its sites' hits, then one pick per
+    shot, then the table's readout flips."""
+    site, shot, label = draw_errors([s for sites in sites_per_step for s in sites], readout,
+                                    offsets, shots, rng)
+    amps = np.zeros((shots, 1 << n_qubits), dtype=complex)
+    amps[:, 0] = 1.0
+    j = 0
+    for step, sites in zip(steps, sites_per_step):
+        amps = step(amps)
+        for qubits, _ in sites:
+            amps = _apply_paulis(amps, qubits, shot[site == j], label[site == j], n_qubits)
+            j += 1
+    outcomes = _first_reaching(np.abs(amps) ** 2, rng.random(shots))
+    for i, (q, _) in enumerate(readout):
+        outcomes[shot[site == j + i]] ^= 1 << (n_qubits - 1 - q)
+    return outcomes
 
 
 def reference_sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
                             rng: np.random.Generator) -> SampleSet:
     n = circuit.n_qubits
     measured = circuit.measured_qubits()
-    n_bits = len(measured) if measured else n
-    offsets_all = noise.shot_offsets(shots) if noise is not None else None
-    draws = noise is not None and any(
-        can_fire(rate, offsets_all) for gate in circuit.all_gates()
-        for _, rate in gate_sites(noise, gate))
-    if not draws:
-        # Every trajectory is the same state: all shots in one chunk.
-        probs = np.abs(reference_amplitudes(circuit)) ** 2
-        samples = _first_reaching(probs[None, :], rng.random(shots))
-        samples = _readout(samples, circuit, noise, offsets_all, rng)
-        return SampleSet.from_indices(_extract_measured_indices(samples, circuit), n_bits)
-    chunk = max(1, statevector._CHUNK_AMPS >> n)
-    result = None
-    for start in range(0, shots, chunk):
-        size = min(chunk, shots - start)
-        offsets = offsets_all[start:start + size] if offsets_all is not None else None
-        amps = np.zeros((size, 1 << n), dtype=complex)
-        amps[:, 0] = 1.0
-        for gate in circuit.all_gates():
-            amps = _apply_gate(amps, gate, n)
-            for qubits, rows, choices in draw_gate_errors(noise, gate, offsets, size, rng):
-                amps = _apply_paulis(amps, qubits, rows, choices, n)
-        samples = _first_reaching(np.abs(amps) ** 2, rng.random(size))
-        samples = _readout(samples, circuit, noise, offsets, rng)
-        part = SampleSet.from_indices(_extract_measured_indices(samples, circuit), n_bits)
-        result = part if result is None else result.merge(part)
-    return result
+    offsets = noise.shot_offsets(shots) if noise is not None else None
+    gates = list(circuit.all_gates())
+    sites_per_gate = [[] for _ in gates] if noise is None else [
+        [(q, r) for q, r in gate_sites(noise, gate) if can_fire(r, offsets)] for gate in gates]
+    readout = [] if noise is None else [
+        (q, noise.readout_for(q)) for q in measured or range(n)
+        if can_fire(noise.readout_for(q), offsets)]
+    steps = [lambda a, g=gate: _apply_gate(a, g, n) for gate in gates]
+    samples = _sample_with_table(steps, sites_per_gate, readout, offsets, shots, n, rng)
+    return SampleSet.from_indices(_extract_measured_indices(samples, circuit),
+                                  len(measured) if measured else n)
 
 
 def reference_rb_survivals(noise: NoiseModel | None, n_qubits: int, lengths: list[int],
@@ -154,15 +146,17 @@ def reference_rb_survivals(noise: NoiseModel | None, n_qubits: int, lengths: lis
                            stream: SeedStream) -> list[list[float]]:
     """Randomized-benchmarking survivals from one batched loop per sequence.
 
-    Every shot is its own trajectory, even when no error can fire: each
-    element's unitary, then one draw at the element rate, the outcome picks,
-    then the readout flips, all from the sequence's own generator.
+    Every shot is its own trajectory, even when no error can fire: from the
+    sequence's own generator, the indices, then the call's table (one site per
+    element at the element rate, then the readout bits), each element's
+    unitary with its site's hits, the outcome picks and the readout flips.
     """
     group = clifford_group(n_qubits)
     qubits = tuple(range(n_qubits))
     noise = noise if noise is not None else NoiseModel()
     rate = noise.element_error(n_qubits)
     offsets = noise.shot_offsets(shots)
+    readout = [(q, noise.readout_for(q)) for q in qubits if can_fire(noise.readout_for(q), offsets)]
     survivals = []
     for li, m in enumerate(lengths):
         per_seq = []
@@ -170,16 +164,11 @@ def reference_rb_survivals(noise: NoiseModel | None, n_qubits: int, lengths: lis
             rng = stream.child(li, s).generator()
             indices = [int(i) for i in rng.integers(0, len(group), size=m)]
             gates = tuple(g for idx in indices for g in group.elements[idx].gates)
-            amps = np.zeros((shots, 1 << n_qubits), dtype=complex)
-            amps[:, 0] = 1.0
-            for i in indices + [group.inverse_index(gates)]:
-                amps = apply_unitary_batch(amps, group.unitary(i), qubits, n_qubits)
-                drawn = draw_site(rate, offsets, shots, n_qubits, rng)
-                if drawn is not None:
-                    amps = _apply_paulis(amps, qubits, *drawn, n_qubits)
-            outcomes = _first_reaching(np.abs(amps) ** 2, rng.random(shots))
-            for q, flips in draw_readout_flips(noise, qubits, offsets, shots, rng):
-                outcomes ^= flips.astype(np.int64) << (n_qubits - 1 - q)
+            elements = indices + [group.inverse_index(gates)]
+            sites = [[(qubits, rate)] if can_fire(rate, offsets) else [] for _ in elements]
+            steps = [lambda a, i=i: apply_unitary_batch(a, group.unitary(i), qubits, n_qubits)
+                     for i in elements]
+            outcomes = _sample_with_table(steps, sites, readout, offsets, shots, n_qubits, rng)
             per_seq.append(float(np.mean(outcomes == 0)))
         survivals.append(per_seq)
     return survivals

@@ -90,7 +90,8 @@ class TestVolumetric:
 #: (lengths, survival means, n_qubits, (A, p, B, RMS residual)) as scipy's
 #: bounded `curve_fit` fitted them from the same start (qbench 0.3.0): three
 #: edge cases (a stall point for a lightly damped clipped search, two lengths
-#: for three parameters, constant survivals), then 27 seeded synthetic decays.
+#: for three parameters, constant survivals), then 27 seeded synthetic decays,
+#: then one case that stops on the p = 1 face (qbench 0.7.0).
 CURVE_FIT_CASES = [
     ([4, 32, 64], [0.771, 0.523, 0.487], 1,
      (0.3818659607012248, 0.9320967803179812, 0.4827595158143865, 7.516256402347329e-13)),
@@ -152,6 +153,10 @@ CURVE_FIT_CASES = [
      (0.5437548927122519, 0.8954276366065181, 0.39743723925257024, 5.435113480195802e-09)),
     ([4, 32, 64], [0.7088, 0.6285, 0.446], 1,
      (0.7465284123421286, 0.9927315331843447, 1.5041116216540406e-24, 0.026761388354085862)),
+    # Noisy survivals that do not decay: the search from p = 0.99 stops on the
+    # p = 1 face at RMS 0.186 unless it is restarted from p = 0.5 (scipy 1.17).
+    ([1, 5, 10, 20, 50], [0.8372, 0.4977, 0.4006, 0.3502, 0.714], 1,
+     (0.9146061786630149, 0.38098148929062225, 0.4887703905432463, 0.12467322628092102)),
 ]
 
 

@@ -181,10 +181,12 @@ class TestMirror:
                 assert spec.expected == deterministic_outcome(spec.circuit), (depth, r)
 
     def test_construction_evolves_no_tableau(self, monkeypatch):
+        # `_run` is the tableau's one gate loop, which `evolve_tableau` and
+        # `stabilizer_sample` both go through.
         calls = []
-        evolve = qbench.stabilizer.evolve_tableau
-        monkeypatch.setattr(qbench.stabilizer, "evolve_tableau",
-                            lambda circuit: calls.append(circuit) or evolve(circuit))
+        run = qbench.stabilizer._run
+        monkeypatch.setattr(qbench.stabilizer, "_run",
+                            lambda circuit, *args: calls.append(circuit) or run(circuit, *args))
         make_mirror_circuit(random_clifford_circuit(8, 6, SeedStream(16)), SeedStream(17))
         assert calls == []
         run_mirror_benchmark(DeviceModel.complete(5), None, [3, 5], [2, 4], 3, 20,

@@ -11,7 +11,7 @@ from statevector_reference import (
     reference_sequence_unitary,
 )
 
-from qbench import statevector
+from qbench import stabilizer, statevector
 from qbench.circuits import (
     CX, CZ, SWAP, TWO_QUBIT_KINDS, U2Q, Barrier, Circuit, GateKind, H, Measure, PauliLayer, Rx, Ry, Rz, S, Sdg, T,
     Tdg, X, Y, Z, gate_unitary, inverse_circuit, inverse_gate, measure_all, pauli_matrix,
@@ -20,7 +20,7 @@ from qbench.device import DeviceModel
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
-from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, draw_site, drift_rate_at
+from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, draw_errors, drift_rate_at
 from qbench.cliffords import clifford_group
 from qbench.randgen import (
     haar_unitary, layered_model_circuit, make_mirror_circuit, random_clifford_circuit,
@@ -341,21 +341,22 @@ class TestExecutionPlan:
 
     @pytest.mark.parametrize("rate", [0.3, 1e-12], ids=["heavy", "never_hits"])
     def test_evolve_keeps_one_row_per_distinct_history(self, rate):
-        # Replaying the draws gives each shot its history, the (op, site, label)
+        # Reading the table gives each shot its history, the (op, site, label)
         # of every hit; shots share a row exactly when they share a history,
         # and each row is the reference state of its history.
         c = Circuit.from_gates(3, [H(0), CX(0, 1), Ry(2, 0.7), CZ(1, 2),
                                    PauliLayer([0, 2], "XZ"), CX(2, 0), S(1)])
         plan = _plan(c, NoiseModel.uniform(p1=rate, p2=rate), None)
         batch = 200
-        rows, history = statevector._evolve(plan, batch, 3, None, SeedStream(75).generator())
-        rng = SeedStream(75).generator()
+        where = [(i, j) for i, (_, _, sites) in enumerate(plan) for j in range(len(sites))]
+        table = draw_errors([s for _, _, sites in plan for s in sites], [], None, batch,
+                            SeedStream(75).generator())
+        rows, history = statevector._evolve(plan, batch, 3, table)
         histories = [()] * batch
-        for i, (_, _, sites) in enumerate(plan):
-            for j, (qubits, r) in enumerate(sites):
-                hit, choices = draw_site(r, None, batch, len(qubits), rng)
-                for shot, choice in zip(hit, choices):
-                    histories[shot] += ((i, j, int(choice)),)
+        for site, shot, label in zip(*(column.tolist() for column in table)):
+            histories[shot] += (where[site] + (label,),)
+        if rate > 0.1:
+            assert len(set(histories)) > 20
         row_of = dict(zip(histories, history.tolist()))
         assert len(rows) == len(row_of) == len(set(row_of.values()))
         assert all(row_of[h] == r for h, r in zip(histories, history.tolist()))
@@ -662,6 +663,156 @@ class TestSharedNoiseChannel:
         # Two independent 4000-shot samples of these 16-outcome distributions
         # sit about 0.03 apart in TVD from sampling alone.
         assert tvd < 0.06
+
+
+class TestErrorTable:
+    """`qbench.noise.draw_errors`: the one sparse error table of a sampling call."""
+
+    SITES = [((0,), 0.3), ((1, 2), 0.05), ((2,), 0.0), ((0, 1), 1.0), ((1,), 0.002)]
+    READOUT = [(0, 0.1), (2, 0.0)]
+
+    @pytest.mark.parametrize("drift", [None, DriftSchedule((0.0, 0.1, -0.2), 0.03, SeedStream(80))],
+                             ids=["flat", "drift"])
+    @pytest.mark.parametrize("shots", [1, 7, 500])
+    def test_one_sorted_hit_per_site_and_shot_with_labels_in_range(self, drift, shots):
+        offsets = drift.offsets_for(shots) if drift is not None else None
+        site, shot, label = draw_errors(self.SITES, self.READOUT, offsets, shots,
+                                        SeedStream(81, (shots,)).generator())
+        key = site * shots + shot
+        assert np.all(np.diff(key) > 0)  # sorted by site, then shot, and no (site, shot) twice
+        assert np.all((shot >= 0) & (shot < shots))
+        n_labels = np.array([len(PAULI_LABELS[len(q)]) for q, _ in self.SITES] + [1, 1])
+        assert np.all((label >= 0) & (label < n_labels[site]))
+        # A site whose clipped rate is 0 for every shot never fires.
+        lift = offsets if offsets is not None else np.zeros(shots)
+        rates = np.array([r for _, r in self.SITES] + [r for _, r in self.READOUT])
+        clipped = np.clip(rates[site] + lift[shot], 0.0, 1.0)
+        assert np.all(clipped > 0)
+        if drift is None:
+            assert np.array_equal(shot[site == 3], np.arange(shots))  # rate 1 hits every shot
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_follows_the_documented_layout(self, seed):
+        # A scalar walk of the layout in the `draw_errors` docstring: rounds of
+        # per-site blocks of gap doubles, then thinning, then labels. With at
+        # most 0.05 expected hits, a site's first block is 2 doubles, so the few
+        # of these 10000 sites that are hit twice walk on in a second round.
+        rng = SeedStream(91, (seed,)).generator()
+        shots = 40
+        sites = [((q % 5,), float(r)) for q, r in enumerate(rng.uniform(0.0008, 0.0011, 10_000))]
+        sites += [((1, 3), 0.9), ((2,), 1.0), ((4,), 0.0), ((0, 2), 0.2)]
+        readout = [(0, 0.05), (2, 0.3)]
+        offsets = DriftSchedule((0.0, 0.0001, -0.0001), 0.00002,
+                                SeedStream(92, (seed,))).offsets_for(shots)
+        got = draw_errors(sites, readout, offsets, shots, SeedStream(93, (seed,)).generator())
+
+        rng = SeedStream(93, (seed,)).generator()
+        rates = [r for _, r in sites] + [r for _, r in readout]
+        labels = [len(PAULI_LABELS[len(q)]) for q, _ in sites] + [1] * len(readout)
+        top = [min(1.0, max(0.0, r + offsets.max())) for r in rates]
+        walked = [0] * len(rates)
+        todo = [j for j, p in enumerate(top) if p > 0]
+        hits, rounds = [], 0
+        while todo:
+            rounds += 1
+            blocks = []
+            for j in todo:
+                left = shots - walked[j]
+                m = top[j] * left
+                blocks.append(min(left + 1, int(m + 4 * math.sqrt(m) + 2)))
+            doubles = iter(rng.random(sum(blocks)).tolist())
+            for j, block in zip(todo, blocks):
+                pos = walked[j] - 1
+                for _ in range(block):
+                    u = next(doubles)
+                    gap = 0 if top[j] == 1 else math.floor(min(math.log1p(-u) / math.log1p(-top[j]), shots))
+                    if pos < shots:
+                        pos += gap + 1
+                        if pos < shots:
+                            hits.append((j, pos))
+                walked[j] = pos + 1
+            todo = [j for j in todo if walked[j] < shots]
+        hits.sort()
+        keep = rng.random(len(hits)) < [min(1.0, max(0.0, rates[j] + offsets[t])) / top[j] for j, t in hits]
+        hits = [h for h, k in zip(hits, keep) if k]
+        label = (rng.random(len(hits)) * [labels[j] for j, _ in hits]).astype(np.int64)
+        assert rounds > 1
+        assert got[0].tolist() == [j for j, _ in hits] and got[1].tolist() == [t for _, t in hits]
+        assert got[2].tolist() == label.tolist()
+
+    def test_no_sites_draw_nothing(self):
+        rng = SeedStream(82).generator()
+        site, shot, label = draw_errors([((0,), 0.0)], [(1, 0.0)], np.full(5, -0.1), 5, rng)
+        assert len(site) == len(shot) == len(label) == 0
+        assert rng.random() == SeedStream(82).generator().random()
+
+    def test_hit_rates_match_clipped_rates_under_drift(self):
+        # Chi-square of hits per (site, drift phase) against the clipped rates,
+        # over 4 seeds. Two of the 15 cells clip, at 0 and at 1, and are exact.
+        shots, cycle = 6000, (0.0, 0.08, -0.004)
+        sites = [((0,), 0.003), ((1,), 0.05), ((0, 1), 0.3), ((1, 0), 0.95), ((2,), 0.5)]
+        offsets = DriftSchedule(cycle).offsets_for(shots)
+        stat, cells = 0.0, 0
+        for seed in range(4):
+            site, shot, _ = draw_errors(sites, [], offsets, shots, SeedStream(83, (seed,)).generator())
+            for j, (_, rate) in enumerate(sites):
+                for phase in range(len(cycle)):
+                    p = np.clip(rate + offsets[phase::len(cycle)], 0.0, 1.0)
+                    expected, var = p.sum(), (p * (1 - p)).sum()
+                    hits = np.count_nonzero((site == j) & (shot % len(cycle) == phase))
+                    if var == 0:
+                        assert hits == expected
+                        continue
+                    stat += (hits - expected) ** 2 / var
+                    cells += 1
+        # 0.999 quantile of chi-square with 52 degrees of freedom is about 89.3.
+        assert cells == 52 and stat < 89.3, stat
+
+    @pytest.mark.parametrize("qubits", [(3,), (1, 2)])
+    def test_labels_are_uniform(self, qubits):
+        n_labels = len(PAULI_LABELS[len(qubits)])
+        _, _, label = draw_errors([(qubits, 0.5)], [], None, 30_000, SeedStream(84).generator())
+        counts = np.bincount(label, minlength=n_labels)
+        expected = len(label) / n_labels
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        # 0.999 quantiles of chi-square: 13.8 for 2 and 36.1 for 14 degrees of freedom.
+        assert stat < (13.8 if n_labels == 3 else 36.1), (counts, stat)
+
+    def test_chunk_size_changes_no_bit(self, monkeypatch):
+        # The table is drawn once per call; chunks of 1 or 3 trajectories only
+        # split the outcome picks, which are one double per shot.
+        c = measure_all(random_clifford_circuit(4, 8, SeedStream(85)))
+        noise = NoiseModel.uniform(p1=0.05, p2=0.2, readout=0.05,
+                                   drift=DriftSchedule((0.0, 0.05), 0.02, SeedStream(86)))
+        whole = sample_counts(c, 300, noise, SeedStream(87).generator())
+        for rows in (1, 3):
+            monkeypatch.setattr(statevector, "_CHUNK_AMPS", rows << c.n_qubits)
+            assert sample_counts(c, 300, noise, SeedStream(87).generator()) == whole
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_backends_read_one_table_from_one_seed(self, k, monkeypatch):
+        # A noisy Clifford circuit with readout error and drift: both samplers
+        # ask for the same table, get the same hits, and so agree shot by shot.
+        n, shots = 5, 400
+        c = _basis_state_clifford(n, 30, SeedStream(88, (k,)))
+        noise = NoiseModel.uniform(p1=0.05, p2=0.1, readout=0.03,
+                                   drift=DriftSchedule((0.0, 0.04), 0.01, SeedStream(89, (k,))))
+        tables = []
+
+        def recording(*args):
+            tables.append((args[:2], draw_errors(*args)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(statevector, "draw_errors", recording)
+        monkeypatch.setattr(stabilizer, "draw_errors", recording)
+        sv = sample_counts(c, shots, noise, SeedStream(90, (k,)).generator())
+        st = stabilizer_sample(c, shots, SeedStream(90, (k,)).generator(), noise=noise)
+        (sv_sites, sv_table), (st_sites, st_table) = tables
+        assert sv_sites == st_sites and len(sv_sites[1]) == n
+        assert all(np.array_equal(a, b) for a, b in zip(sv_table, st_table))
+        assert np.count_nonzero(sv_table[0] >= len(sv_sites[0])) > 0  # some readout flips
+        assert len(sv.counts) > 1
+        assert sv == st
 
 
 class TestDistributions:
