@@ -242,8 +242,20 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _swap_pair(unitary: np.ndarray) -> np.ndarray:
-    """The 4x4 `unitary` with its two qubits exchanged: its matrix on the reversed targets."""
-    return unitary.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    """The 4x4 `unitary` with its two qubits exchanged: its matrix on the reversed
+    targets, stacked over the leading axes."""
+    out = unitary.reshape(unitary.shape[:-2] + (2, 2, 2, 2)).swapaxes(-4, -3).swapaxes(-2, -1)
+    return out.reshape(unitary.shape)
+
+
+#: Pauli axis of each rotation kind
+ROTATION_AXIS = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}
+
+
+def rotation_unitary(axis: str, angle) -> np.ndarray:
+    """exp(-i angle P / 2) for the Pauli `axis`, stacked over the shape of `angle`."""
+    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
+    return np.cos(half) * _PAULI_1Q["I"] - 1j * np.sin(half) * _PAULI_1Q[axis]
 
 
 def gate_unitary(gate: Gate) -> np.ndarray:
@@ -253,9 +265,7 @@ def gate_unitary(gate: Gate) -> np.ndarray:
     if gate.kind in _FIXED_2Q:
         return _FIXED_2Q[gate.kind]
     if gate.kind in ROTATION_KINDS:
-        axis = {GateKind.RX: "X", GateKind.RY: "Y", GateKind.RZ: "Z"}[gate.kind]
-        half = gate.angle / 2.0
-        return math.cos(half) * _PAULI_1Q["I"] - 1j * math.sin(half) * _PAULI_1Q[axis]
+        return rotation_unitary(ROTATION_AXIS[gate.kind], gate.angle)
     if gate.kind is GateKind.U2Q:
         return gate.matrix
     if gate.kind is GateKind.PAULI:

@@ -76,16 +76,23 @@ class SampleSet:
     shots: int = field(default=0)
 
     def __post_init__(self):
-        counts = {}
-        total = 0
-        for bits, c in self.counts.items():
-            c = int(c)
-            if len(bits) != self.n_bits or any(ch not in "01" for ch in bits):
-                raise ValidationError(f"bad bitstring key {bits!r} for {self.n_bits} bits")
-            if c <= 0:
-                raise ValidationError("counts must be positive")
-            counts[bits] = c
-            total += c
+        # Every key and count is checked in one pass; only a failing set is
+        # scanned key by key, to raise on the first bad entry.
+        try:
+            values = list(map(int, self.counts.values()))
+            valid = set(map(len, self.counts)) <= {self.n_bits} \
+                and set("".join(self.counts)) <= {"0", "1"} and min(values, default=1) > 0
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            for bits, c in self.counts.items():
+                c = int(c)
+                if len(bits) != self.n_bits or any(ch not in "01" for ch in bits):
+                    raise ValidationError(f"bad bitstring key {bits!r} for {self.n_bits} bits")
+                if c <= 0:
+                    raise ValidationError("counts must be positive")
+        counts = dict(zip(self.counts, values))
+        total = sum(values)
         shots = self.shots or total
         if total != shots:
             raise ValidationError(f"counts sum to {total}, declared shots {shots}")
@@ -95,7 +102,13 @@ class SampleSet:
     @classmethod
     def from_indices(cls, indices: np.ndarray, n_bits: int) -> "SampleSet":
         values, freq = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
-        return cls(n_bits, {index_to_bits(int(v), n_bits): int(c) for v, c in zip(values, freq)})
+        if 0 < n_bits < 64 and (not values.size or (values[0] >= 0 and values[-1] >> n_bits == 0)):
+            # Each index's low n_bits bits, high bit first, as '0'/'1' bytes viewed as one string.
+            bits = np.unpackbits(values.astype(">i8").view(np.uint8).reshape(-1, 8), axis=1)
+            keys = (bits[:, 64 - n_bits:] + ord("0")).view(f"S{n_bits}").ravel().astype(str).tolist()
+        else:  # out-of-range indices keep their over-long keys, which validation rejects
+            keys = [index_to_bits(int(v), n_bits) for v in values]
+        return cls(n_bits, dict(zip(keys, freq.tolist())))
 
     def index_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """(indices, counts) arrays sorted by index."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import CX, _kron, _swap_pair, gate_unitary, pauli_matrix
+from .circuits import CX, _kron, _swap_pair, gate_unitary, pauli_matrix, rotation_unitary
 from .errors import TranspileError
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -87,15 +87,8 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0)
 
 
-def _rotation(axis: str, angle) -> np.ndarray:
-    """exp(-i angle P / 2) for the Pauli `axis`, stacked over the shape of `angle`;
-    the closed form `gate_unitary` uses for a rotation gate."""
-    half = np.asarray(angle, dtype=float)[..., None, None] / 2.0
-    return np.cos(half) * _I2 - 1j * np.sin(half) * pauli_matrix(axis)
-
-
-_RZ_HALF_PI = _rotation("Z", math.pi / 2)
-_RZ_MINUS_HALF_PI = _rotation("Z", -math.pi / 2)
+_RZ_HALF_PI = rotation_unitary("Z", math.pi / 2)
+_RZ_MINUS_HALF_PI = rotation_unitary("Z", -math.pi / 2)
 
 
 def canonical_matrix(a, b, c) -> np.ndarray:
@@ -235,10 +228,10 @@ def synthesize_two_qubit(u) -> TwoQubitSequence:
     out = TwoQubitSequence([
         ("u", 0, dec.k2l), ("u", 1, _RZ_MINUS_HALF_PI @ dec.k2r),
         ("cx", 1, 0),
-        ("u", 0, _rotation("Z", half_pi - 2 * c)),
-        ("u", 1, _rotation("Y", 2 * a - half_pi)),
+        ("u", 0, rotation_unitary("Z", half_pi - 2 * c)),
+        ("u", 1, rotation_unitary("Y", 2 * a - half_pi)),
         ("cx", 0, 1),
-        ("u", 1, _rotation("Y", half_pi - 2 * b)),
+        ("u", 1, rotation_unitary("Y", half_pi - 2 * b)),
         ("cx", 1, 0),
         ("u", 0, dec.k1l @ _RZ_HALF_PI), ("u", 1, dec.k1r),
     ], dec.phase * cmath.exp(0.25j * math.pi))

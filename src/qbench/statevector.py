@@ -19,19 +19,27 @@ from the table. The hit shots of a site are grouped by (row, label): each
 group gets one new row, its parent with the Pauli applied, and rows that no
 shot points to any more are dropped. So shots whose errors agree so far
 share one row, and the work follows the distinct histories, not the shots.
-A plan with no sites, the noiseless one included, is the one-history case:
-one row for every shot, picked from in one chunk.
+The shots run in chunks whose history rows fit `_CHUNK_AMPS` amplitudes,
+bounded up front from the table: at most one row per shot and one more
+than the chunk's gate hits. A plan with no sites, the noiseless one
+included, is the one-history case: one row for every shot, in one chunk.
 
 Every shot's outcome follows one rule: the first index whose normalized
-cumulative sum reaches the shot's uniform draw (`_sample_rows`). Each shot
-takes one draw whatever the probabilities, so a last-digit change to one
-outcome's probability moves only the shots whose draws fall within it.
+cumulative sum reaches the shot's uniform draw (`_sample_rows`), found for
+every shot at once by a fixed-step binary search over the rows' flat table.
+Each shot takes one draw whatever the probabilities, so a last-digit change
+to one outcome's probability moves only the shots whose draws fall within it.
 
 Fusion follows qsim (Isakov et al., arXiv:2111.02396) but tracks the last op
 on each qubit, because lowered gates are interleaved layer by layer: a 1q
 gate folds into the next op on its qubit, and successive 2q gates on one pair
-merge into one op. An op with sites closes: nothing fuses across it. On every
-qubit, unitaries and injections keep their circuit order.
+merge into one op. The matrices of these ops are built in stacks. Then, as
+in qsim's max-fused-size rule, site-free ops merge into blocks of up to K
+qubits, K = n for n <= 5 and 4 above that: a block takes in an op only while
+it is the last op on every one of its qubits, so at n <= 5 a noiseless
+circuit is one op, one GEMM per application. An op with sites closes:
+nothing fuses across it, and it joins no block. On every qubit, unitaries
+and injections keep their circuit order.
 
 A drawn Pauli makes its group's row by index arithmetic, not matrix
 products: X and Y XOR the amplitude index with their bits, and Z and Y
@@ -43,7 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, _kron, _swap_pair, gate_unitary, pauli_matrix
+from .circuits import (
+    _FIXED_1Q, _FIXED_2Q, ROTATION_AXIS, Circuit, GateKind, _kron, _swap_pair, rotation_unitary,
+)
 from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
 from .noise import PAULI_BITS, NoiseModel, draw_errors, firing_sites, readout_sites
@@ -131,62 +141,221 @@ def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], choices: np.ndarray
 
 _I2 = np.eye(2, dtype=complex)
 
+#: Fused ops span every qubit up to _FULL_WIDTH qubits, else at most _BLOCK_QUBITS
+_FULL_WIDTH = 5
+_BLOCK_QUBITS = 4
+
+#: `_plan`'s code of each 1q kind: the fixed kinds index their table, then RX, RY, RZ
+_FIXED_KINDS = (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
+                GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG)
+_ONE_CODE = {kind: i for i, kind in enumerate(_FIXED_KINDS + tuple(ROTATION_AXIS))}
+_LETTER_CODE = {letter: _ONE_CODE[GateKind[letter]] for letter in "XYZ"}
+#: and of each 2q kind: the fixed kinds index their table, U2Q matrices follow it
+_TWO_CODE = {GateKind.CX: 0, GateKind.CZ: 1, GateKind.SWAP: 2, GateKind.U2Q: 3}
+_PAULI = GateKind.PAULI
+
+_PlanOp = tuple[tuple[int, ...], np.ndarray, list[tuple[tuple[int, ...], float]]]
+
+
+def _fold(mats: np.ndarray, chains: list[list[int]]) -> np.ndarray:
+    """The product of each chain of indices into the stack `mats`, later
+    factors on the left: one stacked `@` per chain position."""
+    if not chains:
+        return mats[:0]
+    lengths = np.array([len(chain) for chain in chains])
+    order = np.argsort(-lengths, kind="stable")
+    flat = np.array([i for chain in chains for i in chain])
+    starts = (np.cumsum(lengths) - lengths)[order]
+    acc = mats[flat[starts]]
+    for p in range(1, lengths.max()):
+        k = np.count_nonzero(lengths > p)  # the chains still this long lead `order`
+        acc[:k] = mats[flat[starts[:k] + p]] @ acc[:k]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _embed(unitaries: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
+    """Each unitary of an (m, 2^a, 2^a) stack on the qubits `positions[i]` of
+    a k-qubit space, position 0 its high bit: (m, 2^k, 2^k)."""
+    index = np.arange(1 << k)
+    shifts = k - 1 - positions
+    bits = (index >> shifts[..., None]) & 1
+    sub = (bits << np.arange(positions.shape[1] - 1, -1, -1)[:, None]).sum(axis=1)
+    rest = index & ~(1 << shifts).sum(axis=1)[:, None]
+    entries = unitaries[np.arange(len(unitaries))[:, None, None], sub[:, :, None], sub[:, None, :]]
+    entries *= rest[:, :, None] == rest[:, None, :]
+    return entries
+
 
 def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
-          ) -> list[tuple[tuple[int, ...], np.ndarray, list[tuple[tuple[int, ...], float]]]]:
+          ) -> list[_PlanOp]:
     """The circuit as fused ops: (targets, unitary, sites whose errors follow it).
 
     A gate's sites are those `firing_sites` gives it under the call's
-    `offsets`. A 1q gate folds into the next op on its qubit, and a 2q gate
-    merges into the last op on both its qubits when that op is on the same
-    pair. A gate with sites closes its op: nothing merges into an op that
-    carries sites. Ops with sites stay in gate order, so the plan's sites,
-    read in order, are the call's site list of `qbench.noise.draw_errors`.
-    """
-    ops: list[list] = []
-    last: dict[int, int] = {}
-    pending: dict[int, np.ndarray] = {}
+    `offsets`. The gates first become base ops: a 1q gate folds into the
+    next op on its qubit, and a 2q gate merges into the last op on both its
+    qubits when that op is on the same pair. A gate with sites closes its op:
+    nothing merges into an op that carries sites. The gate loop only records
+    which factor goes into which op; the matrices are built in stacks.
 
-    def emit(targets, unitary, sites=()):
-        ops.append([targets, unitary, list(sites)])
+    Then site-free base ops merge into blocks of at most `_BLOCK_QUBITS`
+    qubits (of every qubit, up to `_FULL_WIDTH` qubits). A block takes in an
+    op only while it is the last op on every one of its qubits, so it moves
+    past nothing that touches them; it runs where its last op was. An op
+    with sites stays alone, so the plan's sites, read in order, are the
+    call's site list of `qbench.noise.draw_errors`.
+    """
+    codes: list[int] = []  # one per 1q factor
+    angles: list[float] = []
+    runs: list[list[int]] = []  # each a chain of 1q factors, closed by the op it joins
+    pending: dict[int, list[int]] = {}
+    factors: list[tuple[int, int, int, bool]] = []  # (2q code, run on a, run on b, reversed)
+    matrices: list[np.ndarray] = []  # the U2Q matrices
+    chains: list[list[int]] = []  # each 2q op's chain of factors
+    base: list[tuple] = []  # (targets, sites, index of its run or chain)
+    last: dict[int, int] = {}
+
+    def close(q: int) -> int:
+        """Index of qubit q's pending run; -1, the identity, if it has none."""
+        run = pending.pop(q, None)
+        if run is None:
+            return -1
+        runs.append(run)
+        return len(runs) - 1
+
+    def emit(targets, sites, index):
         for q in targets + tuple(q for qubits, _ in sites for q in qubits):
-            last[q] = len(ops) - 1
+            last[q] = len(base)
+        base.append((targets, sites, index))
 
     gates = list(circuit.all_gates())
     for gate, sites in zip(gates, firing_sites(noise, gates, offsets)):
-        if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
-            continue
-        if gate.kind is GateKind.PAULI:
+        if (code := _ONE_CODE.get(gate.kind)) is not None:
+            (q,) = gate.targets
+            pending.setdefault(q, []).append(len(codes))
+            codes.append(code)
+            angles.append(gate.angle or 0.0)
+            if sites:
+                emit((q,), sites, close(q))
+        elif (code := _TWO_CODE.get(gate.kind)) is not None:
+            a, b = gate.targets
+            if gate.matrix is not None:  # U2Q: its matrix follows the fixed table
+                code += len(matrices)
+                matrices.append(gate.matrix)
+            i = last.get(a)
+            if not sites and i is not None and last.get(b) == i and not base[i][1] \
+                    and set(base[i][0]) == {a, b}:
+                chains[base[i][2]].append(len(factors))
+                factors.append((code, close(a), close(b), base[i][0] != (a, b)))
+            else:
+                chains.append([len(factors)])
+                factors.append((code, close(a), close(b), False))
+                emit((a, b), sites, len(chains) - 1)
+        elif gate.kind is _PAULI:
             # The letters are 1q gates (the layer's sign is a global phase). A noisy
             # layer emits its targets' pending 1q ops; the last target's carries the sites.
             for q, letter in zip(gate.targets, gate.paulis):
                 if letter != "I":
-                    pending[q] = pauli_matrix(letter) @ pending.get(q, _I2)
+                    pending.setdefault(q, []).append(len(codes))
+                    codes.append(_LETTER_CODE[letter])
+                    angles.append(0.0)
             if sites:
                 *rest, final = gate.targets
                 for q in rest:
                     if q in pending:
-                        emit((q,), pending.pop(q))
-                emit((final,), pending.pop(final, _I2), sites)
-            continue
-        unitary = gate_unitary(gate)
-        if len(gate.targets) == 1:
-            (q,) = gate.targets
-            pending[q] = unitary @ pending.get(q, _I2)
-            if sites:
-                emit((q,), pending.pop(q), sites)
-            continue
-        a, b = gate.targets
-        unitary = unitary @ _kron(pending.pop(a, _I2), pending.pop(b, _I2))
-        i = last.get(a)
-        if not sites and i is not None and last.get(b) == i and not ops[i][2] \
-                and set(ops[i][0]) == {a, b}:
-            ops[i][1] = (unitary if ops[i][0] == (a, b) else _swap_pair(unitary)) @ ops[i][1]
-        else:
-            emit((a, b), unitary, sites)
+                        emit((q,), [], close(q))
+                emit((final,), sites, close(final))
     for q in sorted(pending):
-        emit((q,), pending[q])
-    return [tuple(op) for op in ops]
+        emit((q,), [], close(q))
+
+    # The matrices, in stacks: the 1q runs (and the identity, index -1), each
+    # 2q factor (its gate after its qubits' runs, on its op's target order),
+    # and each 2q op's chain.
+    codes, angles = np.array(codes, dtype=np.intp), np.array(angles)
+    one = np.empty((len(codes), 2, 2), dtype=complex)
+    fixed = codes < len(_FIXED_KINDS)
+    one[fixed] = np.array([_FIXED_1Q[kind] for kind in _FIXED_KINDS])[codes[fixed]]
+    for kind, axis in ROTATION_AXIS.items():
+        rotation = codes == _ONE_CODE[kind]
+        one[rotation] = rotation_unitary(axis, angles[rotation])
+    one = np.concatenate((_fold(one, runs), _I2[None]))
+    two = np.zeros((0, 4, 4), dtype=complex)
+    if factors:
+        gate_code, run_a, run_b, flip = (np.array(column) for column in zip(*factors))
+        table = np.array([_FIXED_2Q[kind] for kind in (GateKind.CX, GateKind.CZ, GateKind.SWAP)]
+                         + matrices)
+        two = table[gate_code] @ _kron(one[run_a], one[run_b])
+        two[flip] = _swap_pair(two[flip])
+        two = _fold(two, chains)
+    unitaries = [(two if len(targets) == 2 else one)[index] for targets, _, index in base]
+
+    # Blocks of base ops, (qubits, members), in the order of their last members:
+    # a merge makes a new block at the end. `opened` maps each block that
+    # carries no sites and is still the last op on all its qubits to them.
+    width = circuit.n_qubits if circuit.n_qubits <= _FULL_WIDTH else _BLOCK_QUBITS
+    blocks: list[tuple[frozenset, list[int]] | None] = []
+    opened: dict[int, frozenset] = {}
+    owner: dict[int, int] = {}
+    for i, (targets, sites, _) in enumerate(base):
+        if sites:  # a block of its own, which closes every block it touches
+            qubits = frozenset(targets).union(*(site_qubits for site_qubits, _ in sites))
+            for q in qubits:
+                opened.pop(owner.get(q), None)
+                owner[q] = len(blocks)
+            blocks.append((qubits, [i]))
+            continue
+        qubits = frozenset(targets)
+        near = {owner[q] for q in qubits if q in owner}
+        # The open blocks on its qubits join, most shared qubits first, while
+        # the union fits; an op on fresh qubits joins the latest open block.
+        candidates = sorted(near & opened.keys(), key=lambda b: (-len(opened[b] & qubits), -b))
+        if not near and opened:
+            candidates = [max(opened)]
+        join = []
+        for b in candidates:
+            if len(qubits | opened[b]) <= width:
+                join.append(b)
+                qubits |= opened[b]
+        members = [m for b in sorted(join) for m in blocks[b][1]] + [i]
+        for b in join:
+            blocks[b] = None
+        for b in near.union(join):
+            opened.pop(b, None)
+        for q in qubits:
+            owner[q] = len(blocks)
+        opened[len(blocks)] = qubits
+        blocks.append((qubits, members))
+    blocks = [block for block in blocks if block is not None]
+
+    # Each merged block's unitary, built for all blocks of one width at once:
+    # at each member position, the members there are embedded in their
+    # blocks' sorted qubits, one stack per arity, and multiply their products.
+    fused: dict[int, np.ndarray] = {}
+    for k in {len(qubits) for qubits, members in blocks if len(members) > 1}:
+        wide = [j for j, (qubits, members) in enumerate(blocks)
+                if len(members) > 1 and len(qubits) == k]
+        local = [{q: p for p, q in enumerate(sorted(blocks[j][0]))} for j in wide]
+        products = np.tile(np.eye(1 << k, dtype=complex), (len(wide), 1, 1))
+        for p in range(max(len(blocks[j][1]) for j in wide)):
+            here = [(w, blocks[j][1][p]) for w, j in enumerate(wide) if p < len(blocks[j][1])]
+            for arity in (1, 2):
+                picks = [(w, i) for w, i in here if len(base[i][0]) == arity]
+                if picks:
+                    rows = [w for w, _ in picks]
+                    positions = np.array([[local[w][q] for q in base[i][0]] for w, i in picks])
+                    embedded = _embed(np.array([unitaries[i] for _, i in picks]), positions, k)
+                    products[rows] = embedded @ products[rows]
+        fused.update(zip(wide, products))
+
+    plan = []
+    for j, (qubits, members) in enumerate(blocks):
+        if j in fused:
+            plan.append((tuple(sorted(qubits)), fused[j], []))
+        else:
+            (i,) = members
+            plan.append((base[i][0], unitaries[i], base[i][1]))
+    return plan
 
 
 def _evolve(plan: list, batch: int, n_qubits: int,
@@ -269,15 +438,37 @@ def _sample_rows(probs: np.ndarray, history: np.ndarray, rng: np.random.Generato
     """One outcome index per shot: the first index whose normalized cumulative
     sum of the shot's row `probs[history[shot]]` reaches the shot's uniform draw.
 
-    `probs` is (rows, N). One row, which every shot shares, is searched with
-    `np.searchsorted`.
+    `probs` is (rows, N), N a power of two. Every shot is searched at once in
+    the flat cumulative table, by a fixed-step binary search: log2(N) gathers
+    of one entry per shot.
     """
     cum = np.cumsum(probs, axis=-1)
     cum /= cum[:, -1:]
+    flat = cum.reshape(-1)
     u = rng.random(len(history))
-    if len(cum) == 1:
-        return np.searchsorted(cum[0], u)
-    return np.argmax(cum[history] >= u[:, None], axis=1)
+    start = history * cum.shape[1]
+    lo = start.copy()
+    step = cum.shape[1] >> 1
+    while step:
+        lo += (flat[step - 1:][lo] < u) * step
+        step >>= 1
+    return lo - start
+
+
+def _chunks(gate_hits: np.ndarray, shots: int, budget: int) -> list[tuple[int, int]]:
+    """Consecutive [start, stop) shot ranges, each the longest from its start
+    whose history rows fit `budget`: a chunk has at most as many rows as it
+    has shots, and at most one more than its gate hits, `gate_hits` being the
+    shot of each."""
+    before = np.concatenate(([0], np.cumsum(np.bincount(gate_hits, minlength=shots))))
+    ranges = []
+    start = 0
+    while start < shots:
+        by_hits = int(np.searchsorted(before, before[start] + budget - 1, side="right")) - 1
+        stop = min(shots, max(start + budget, by_hits))
+        ranges.append((start, stop))
+        start = stop
+    return ranges
 
 
 def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None,
@@ -286,22 +477,21 @@ def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None
     """One outcome index per shot of `plan`'s trajectories, after readout flips on `readout`.
 
     The call's error table is drawn first, for every shot: the plan's sites
-    in order, then the bits of `readout` whose readout can flip. If some op
-    carries sites, the shots then run in chunks of at most
-    `_CHUNK_AMPS >> n_qubits`, so a chunk's history rows fit that many
-    amplitudes; otherwise every shot has the one history and runs in one
-    chunk. Each chunk picks its outcomes with one `rng.random(size)`, so the
-    chunk size does not change a bit.
+    in order, then the bits of `readout` whose readout can flip. The shots
+    then run in chunks whose history rows fit `_CHUNK_AMPS` amplitudes, a
+    bound the table gives up front: a chunk holds at most one row per shot,
+    and at most one more row than its gate hits (`_chunks`). So a call
+    whose sites never fire, the noiseless one included, runs in one chunk.
+    Each chunk picks its outcomes with one `rng.random(size)`, so the
+    chunking does not change a bit.
     """
     sites = [s for _, _, op_sites in plan for s in op_sites]
     flips = readout_sites(noise, readout, offsets)
     site, shot, label = draw_errors(sites, flips, offsets, shots, rng)
-    chunk = max(1, _CHUNK_AMPS >> n_qubits) if sites else shots
     picks = []
-    for start in range(0, shots, chunk):
-        size = min(chunk, shots - start)
-        inside = (shot >= start) & (shot < start + size)
-        rows, history = _evolve(plan, size, n_qubits,
+    for start, stop in _chunks(shot[site < len(sites)], shots, max(1, _CHUNK_AMPS >> n_qubits)):
+        inside = (shot >= start) & (shot < stop)
+        rows, history = _evolve(plan, stop - start, n_qubits,
                                 (site[inside], shot[inside] - start, label[inside]))
         picks.append(_sample_rows(np.abs(rows.reshape(len(rows), -1)) ** 2, history, rng))
     pick = np.concatenate(picks)

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -17,13 +18,16 @@ from qbench.circuits import (
     Tdg, X, Y, Z, gate_unitary, inverse_circuit, inverse_gate, measure_all, pauli_matrix,
 )
 from qbench.device import DeviceModel
-from qbench.distributions import ProbDist, SampleSet
+from qbench.distributions import ProbDist, SampleSet, index_to_bits
 from qbench.errors import NonCliffordError, ValidationError, WidthCapError
 from qbench.metrics import hellinger_distance
-from qbench.noise import PAULI_LABELS, DriftSchedule, NoiseModel, draw_errors, drift_rate_at
+from qbench.noise import (
+    PAULI_LABELS, DriftSchedule, NoiseModel, draw_errors, drift_rate_at, firing_sites,
+)
 from qbench.cliffords import clifford_group
 from qbench.randgen import (
-    haar_unitary, layered_model_circuit, make_mirror_circuit, random_clifford_circuit,
+    haar_unitary, layered_model_circuit, make_mirror_circuit, qv_model_circuit,
+    random_clifford_circuit,
 )
 from qbench.rng import SeedStream
 from qbench.stabilizer import _push_frame, _sign_flips, evolve_tableau, stabilizer_sample
@@ -288,6 +292,11 @@ def _any_noise(draw):
         default_2q=draw(st.sampled_from([0.0, 0.1])), drift=drift)
 
 
+def _evolve_amplitudes(plan, n: int) -> np.ndarray:
+    rows, _ = statevector._evolve(plan, 1, n)
+    return rows.reshape(-1)
+
+
 class TestExecutionPlan:
     """The fused plan against the gate-by-gate reference of tests/statevector_reference.py."""
 
@@ -401,8 +410,11 @@ class TestExecutionPlan:
             == [((0, 2), [])]
         plan = _plan(c, NoiseModel.uniform(p1=0.1), None)
         assert [(targets, sites) for targets, _, sites in plan] == [
-            ((0, 2), []), ((0,), []), ((2,), [((0,), 0.1), ((2,), 0.1)]), ((0, 2), [])]
-        np.testing.assert_array_equal(plan[1][1], pauli_matrix("X"))
+            ((0, 2), []), ((2,), [((0,), 0.1), ((2,), 0.1)]), ((0, 2), [])]
+        # The lone X on qubit 0 folds into the open (0, 2) op, ahead of the draws.
+        np.testing.assert_array_equal(
+            plan[0][1], np.kron(pauli_matrix("X"), np.eye(2)) @ gate_unitary(CX(0, 2)))
+        np.testing.assert_array_equal(plan[1][1], np.eye(2))
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.uniform(p2=0.2, readout=0.05),
@@ -429,12 +441,75 @@ class TestExecutionPlan:
         assert counts.shots == 2000
 
     def test_lowered_collision_circuit_fuses_to_one_op_per_u2q(self):
-        # Item 0 of the 14-qubit collision benchmark at seed 2026: ~1900 lowered gates.
+        # Item 0 of the 14-qubit collision benchmark at seed 2026: 1778 lowered
+        # gates, 98 source U2Q gates, fused into blocks of at most 4 qubits. The
+        # count is pinned: a change that undoes fusion fails here.
         n = 14
         source = layered_model_circuit(n, n, SeedStream(2026, (0,)).child(0))
         lowered, _ = run_pipeline(measure_all(source), DeviceModel.complete(n), TranspileConfig())
-        u2q = sum(g.kind is GateKind.U2Q for g in source.all_gates())
-        assert len(_plan(lowered, None, None)) <= u2q + n
+        assert sum(g.kind is GateKind.U2Q for g in source.all_gates()) == 98
+        assert len(_plan(lowered, None, None)) == 34
+
+    def test_lowered_qv5_circuit_fuses_to_pinned_op_counts(self):
+        # QV-5 circuit 0 of the noisy QV benchmark at seed 2026: noiseless, one
+        # full-width op; under p2 = 0.05 each of the 30 CX gates carries its site
+        # and the site-free ops between them merge into 5 blocks.
+        circuit = qv_model_circuit(5, SeedStream(2026, (0,)).child(5, 0).child(0))
+        lowered, _ = run_pipeline(measure_all(circuit), DeviceModel.complete(5), TranspileConfig())
+        assert len(_plan(lowered, None, None)) == 1
+        plan = _plan(lowered, NoiseModel.uniform(p2=0.05), None)
+        assert sum(bool(sites) for _, _, sites in plan) == 30
+        assert len(plan) == 35
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel.uniform(p1=0.1, p2=0.1)],
+                             ids=["noiseless", "noisy"])
+    @given(circuit=_any_circuit())
+    @settings(max_examples=150)
+    def test_stacked_matrices_match_gate_products(self, noise, circuit):
+        # Every kind, Pauli layers with a sign, U2Q, SWAP and CZ in either order:
+        # the plan's ops multiply out to the gates' own unitaries, up to the
+        # layers' signs, the one global phase the plan drops.
+        n = circuit.n_qubits
+        expected = np.eye(1 << n, dtype=complex)
+        sign = 1
+        for g in circuit.all_gates():
+            if g.kind not in (GateKind.MEASURE, GateKind.BARRIER):
+                expected = apply_unitary_batch(expected, gate_unitary(g), g.targets, n)
+                sign *= g.sign
+        product = np.eye(1 << n, dtype=complex)
+        for targets, unitary, _ in _plan(circuit, noise, None):
+            product = apply_unitary_batch(product, unitary, targets, n)
+        np.testing.assert_allclose(sign * product, expected, atol=1e-12)
+
+    @given(circuit=_any_circuit(), noise=_any_noise())
+    @settings(max_examples=150)
+    def test_plan_sites_are_the_firing_sites_in_order(self, circuit, noise):
+        offsets = noise.shot_offsets(9)
+        plan = _plan(circuit, noise, offsets)
+        assert [s for _, _, sites in plan for s in sites] \
+            == [s for sites in firing_sites(noise, list(circuit.all_gates()), offsets) for s in sites]
+        assert all(len(targets) <= 2 for targets, _, sites in plan if sites)
+
+    @given(_any_circuit())
+    @settings(max_examples=150)
+    def test_noiseless_circuit_up_to_five_qubits_is_one_op(self, circuit):
+        acts = any(g.kind not in (GateKind.MEASURE, GateKind.BARRIER)
+                   and not (g.kind is GateKind.PAULI and set(g.paulis) == {"I"})
+                   for g in circuit.all_gates())
+        assert len(_plan(circuit, None, None)) == int(acts)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 9])
+    def test_no_block_exceeds_the_width_rule(self, n):
+        # Every qubit up to 5 qubits, else 4; the noiseless plans reach that width.
+        source = measure_all(layered_model_circuit(n, n, SeedStream(76, (n,))))
+        lowered, _ = run_pipeline(source, DeviceModel.complete(n), TranspileConfig())
+        width = n if n <= 5 else 4
+        for noise in (None, NoiseModel.uniform(p2=0.01), NoiseModel.uniform(p1=0.01)):
+            plan = _plan(lowered, noise, None)
+            widest = max(len(targets) for targets, _, _ in plan)
+            assert widest == width if noise is None else widest <= width
+            np.testing.assert_allclose(
+                _evolve_amplitudes(plan, n), reference_amplitudes(lowered), atol=1e-12)
 
 
 class TestStabilizer:
@@ -779,8 +854,8 @@ class TestErrorTable:
         assert stat < (13.8 if n_labels == 3 else 36.1), (counts, stat)
 
     def test_chunk_size_changes_no_bit(self, monkeypatch):
-        # The table is drawn once per call; chunks of 1 or 3 trajectories only
-        # split the outcome picks, which are one double per shot.
+        # The table is drawn once per call; chunks of at most 1 or 3 history rows
+        # only split the outcome picks, which are one double per shot.
         c = measure_all(random_clifford_circuit(4, 8, SeedStream(85)))
         noise = NoiseModel.uniform(p1=0.05, p2=0.2, readout=0.05,
                                    drift=DriftSchedule((0.0, 0.05), 0.02, SeedStream(86)))
@@ -788,6 +863,73 @@ class TestErrorTable:
         for rows in (1, 3):
             monkeypatch.setattr(statevector, "_CHUNK_AMPS", rows << c.n_qubits)
             assert sample_counts(c, 300, noise, SeedStream(87).generator()) == whole
+
+    def test_sparse_hits_run_in_few_chunks(self, monkeypatch):
+        # A chunk is bounded by its history rows, which the table bounds up front:
+        # 400 shots with a few hit shots run in at most one chunk per hit shot and
+        # one per run between them, whatever the budget, and every budget gives
+        # the reference's samples.
+        c = measure_all(layered_model_circuit(6, 3, SeedStream(91)))
+        noise = NoiseModel.uniform(p2=0.002, readout=0.01)
+        calls, tables = [], []
+        evolve = statevector._evolve
+
+        def counting(plan, batch, *args):
+            calls.append(batch)
+            return evolve(plan, batch, *args)
+
+        def recording(sites, *args):
+            tables.append((len(sites), draw_errors(sites, *args)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(statevector, "_evolve", counting)
+        monkeypatch.setattr(statevector, "draw_errors", recording)
+        reference = reference_sample_counts(c, 400, noise, SeedStream(92).generator())
+        for rows in (1, 2, 3, 1 << 16):
+            calls.clear()
+            monkeypatch.setattr(statevector, "_CHUNK_AMPS", rows << c.n_qubits)
+            assert sample_counts(c, 400, noise, SeedStream(92).generator()) == reference
+            gate_sites, (site, shot, _) = tables[-1]
+            hit_shots = len(np.unique(shot[site < gate_sites]))
+            assert 0 < hit_shots < 20 and sum(calls) == 400
+            assert len(calls) <= (2 * hit_shots + 1 if rows < 1 << 16 else 1)
+
+    @given(hits=st.lists(st.integers(0, 59), max_size=80), shots=st.integers(60, 90),
+           budget=st.integers(1, 8))
+    @settings(max_examples=200)
+    def test_chunks_are_the_longest_runs_that_fit(self, hits, shots, budget):
+        # Rows are at most min(shots, 1 + gate hits): each chunk fits the budget
+        # unless it is a single shot, and one more shot would not fit.
+        def rows(start, stop):
+            return min(stop - start, 1 + sum(start <= h < stop for h in hits))
+
+        ranges = statevector._chunks(np.array(hits, dtype=np.int64), shots, budget)
+        assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+        assert ranges[-1][1] == shots
+        for start, stop in ranges:
+            assert rows(start, stop) <= budget or stop == start + 1
+            assert stop == shots or rows(start, stop + 1) > budget
+
+    @pytest.mark.parametrize("n, rows, shots", [(0, 1, 5), (1, 3, 40), (5, 40, 1000), (10, 7, 300)])
+    def test_pick_is_the_first_crossing(self, n, rows, shots):
+        # The binary search over the flat table finds argmax(cum[history] >= u),
+        # on tables with zero-probability runs and on draws equal to a cumulative sum.
+        rng = SeedStream(93, (n, rows)).generator()
+        probs = rng.random((rows, 1 << n)) * (rng.random((rows, 1 << n)) < 0.5)
+        probs[np.arange(rows), rng.integers(0, 1 << n, rows)] += 0.1
+        history = rng.integers(0, rows, shots)
+        cum = np.cumsum(probs, axis=1)
+        cum /= cum[:, -1:]
+        u = rng.random(shots)
+        u[::3] = cum[history[::3], rng.integers(0, 1 << n, len(u[::3]))]
+
+        class Draws:
+            def random(self, size):
+                assert size == shots
+                return u
+
+        pick = statevector._sample_rows(probs, history, Draws())
+        np.testing.assert_array_equal(pick, np.argmax(cum[history] >= u[:, None], axis=1))
 
     @pytest.mark.parametrize("k", range(3))
     def test_backends_read_one_table_from_one_seed(self, k, monkeypatch):
@@ -816,6 +958,34 @@ class TestErrorTable:
 
 
 class TestDistributions:
+    @pytest.mark.parametrize("n_bits", [1, 14, 40, 62])
+    def test_from_indices_keys_match_formatting(self, n_bits):
+        rng = SeedStream(94, (n_bits,)).generator()
+        indices = rng.integers(0, 1 << n_bits, size=600, dtype=np.int64)
+        indices[:2] = 0, (1 << n_bits) - 1
+        indices[100:200] = indices[:100]
+        values, freq = np.unique(indices, return_counts=True)
+        samples = SampleSet.from_indices(indices, n_bits)
+        assert dict(samples.counts) == {index_to_bits(int(v), n_bits): int(c)
+                                        for v, c in zip(values, freq)}
+        assert all(type(bits) is str for bits in samples.counts) and samples.shots == 600
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SampleSet(2, {"01": 1, "1": 2}), "bad bitstring key '1' for 2 bits"),
+        (lambda: SampleSet(2, {"01": 1, "0a": 2}), "bad bitstring key '0a' for 2 bits"),
+        (lambda: SampleSet(2, {"012": 1}), "bad bitstring key '012' for 2 bits"),
+        (lambda: SampleSet(1, {"0": 0}), "counts must be positive"),
+        (lambda: SampleSet(1, {"1": 2, "0": -2, "x": 1}), "counts must be positive"),
+        (lambda: SampleSet(1, {"x": 1, "0": -2}), "bad bitstring key 'x' for 1 bits"),
+        (lambda: SampleSet(1, {"0": 3}, shots=5), "counts sum to 3, declared shots 5"),
+        (lambda: SampleSet.from_indices(np.array([1, 5]), 2), "bad bitstring key '101' for 2 bits"),
+        (lambda: SampleSet.from_indices(np.array([-1]), 2), "bad bitstring key '-1' for 2 bits"),
+        (lambda: SampleSet.from_json({"10": 1, "1": 1}), "bad bitstring key '1' for 2 bits"),
+    ])
+    def test_validation_names_the_first_bad_entry(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_probdist_must_normalize(self):
         with pytest.raises(ValidationError):
             ProbDist(1, np.array([0.7, 0.7]))
