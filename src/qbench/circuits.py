@@ -10,6 +10,7 @@ Conventions used everywhere downstream:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,7 +85,12 @@ class Gate:
         # One lookup of the kind's signature decides which checks run: a 1q gate
         # cannot repeat a target, and each field is checked as the kind's own
         # or as one it must leave unset, in the order angle, matrix, paulis, cbit.
-        targets = tuple(map(int, self.targets))
+        # `operator.index` takes ints and numpy integers but refuses a float,
+        # which `int` would truncate to some other qubit.
+        try:
+            targets = tuple(map(operator.index, self.targets))
+        except TypeError:
+            raise ValidationError(f"qubit indices must be integers: {self.targets!r}") from None
         object.__setattr__(self, "targets", targets)
         arity, takes = _SIGNATURE[self.kind]
         if arity is not None and len(targets) != arity:
@@ -121,12 +127,42 @@ class Gate:
         elif self.paulis is not None:
             raise ValidationError(f"{self.kind.value} takes no pauli letters")
         if takes == "cbit":
-            if self.cbit is None or self.cbit < 0:
+            cbit = self.cbit
+            if cbit is not None and type(cbit) is not int:
+                try:
+                    cbit = operator.index(cbit)
+                except TypeError:
+                    raise ValidationError(f"measure needs an integer classical bit: {cbit!r}") from None
+                object.__setattr__(self, "cbit", cbit)
+            if cbit is None or cbit < 0:
                 raise ValidationError("measure needs a nonnegative classical bit")
         elif self.cbit is not None:
             raise ValidationError(f"{self.kind.value} takes no classical bit")
         if not targets and self.kind is GateKind.BARRIER:
             raise ValidationError("barrier needs at least one target")
+
+    @classmethod
+    def _trusted(cls, kind: GateKind, targets: tuple[int, ...], angle: float | None = None,
+                 matrix: np.ndarray | None = None, paulis: str | None = None, sign: int = 1,
+                 cbit: int | None = None) -> "Gate":
+        """A gate built without `__post_init__`'s checks, for code that derives it
+        from gates that passed them (the transpiler's lowering and relabeling).
+
+        The caller vouches for every field: int targets, distinct on a 2q gate,
+        and the kind's own field already checked, a read-only matrix included.
+        The fields are set in declaration order, as the checked path sets them,
+        so the instance keeps sharing its dict keys with every other gate.
+        """
+        gate = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(gate, "kind", kind)
+        setattr_(gate, "targets", targets)
+        setattr_(gate, "angle", angle)
+        setattr_(gate, "matrix", matrix)
+        setattr_(gate, "paulis", paulis)
+        setattr_(gate, "sign", sign)
+        setattr_(gate, "cbit", cbit)
+        return gate
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Gate):
@@ -306,18 +342,20 @@ class Circuit:
         layers = tuple(tuple(layer) for layer in self.layers)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        # Looked up once: an enum member costs a class attribute lookup per gate.
+        n, measure = self.n_qubits, GateKind.MEASURE
         measure_layers = set()
         for li, layer in enumerate(layers):
             seen: set[int] = set()
             cbits: set[int] = set()
             for g in layer:
                 for t in g.targets:
-                    if t >= self.n_qubits:
-                        raise ValidationError(f"gate target {t} out of range for {self.n_qubits} qubits")
+                    if t >= n:
+                        raise ValidationError(f"gate target {t} out of range for {n} qubits")
                     if t in seen:
                         raise ValidationError(f"qubit {t} touched twice in layer {li}")
                     seen.add(t)
-                if g.kind is GateKind.MEASURE:
+                if g.kind is measure:
                     measure_layers.add(li)
                     if g.cbit in cbits:
                         raise ValidationError(f"classical bit {g.cbit} written twice in layer {li}")
@@ -339,24 +377,41 @@ class Circuit:
         frontier = [0] * n_qubits
         layers: list[list[Gate]] = []
         measures: list[Gate] = []
+        measure = GateKind.MEASURE
         for g in gates:
-            if g.kind is GateKind.MEASURE:
+            if g.kind is measure:
                 measures.append(g)
                 continue
-            depth = max((frontier[t] for t in g.targets), default=0)
-            while len(layers) <= depth:
+            targets = g.targets
+            if len(targets) == 1:
+                depth = frontier[targets[0]]
+            else:
+                depth = max((frontier[t] for t in targets), default=0)
+            if depth == len(layers):
                 layers.append([])
             layers[depth].append(g)
-            for t in g.targets:
+            for t in targets:
                 frontier[t] = depth + 1
         if measures:
             layers.append(sorted(measures, key=lambda g: g.cbit))
         return cls(n_qubits, tuple(tuple(l) for l in layers), metadata or {})
 
     def with_metadata(self, **updates) -> "Circuit":
+        """This circuit with `updates` merged into its metadata.
+
+        Of the layer checks, only the final-layer rule for measurements reads
+        the metadata, so the layers are checked again only when `updates`
+        sets `mid_measure`.
+        """
         md = dict(self.metadata)
         md.update(updates)
-        return Circuit(self.n_qubits, self.layers, md)
+        if "mid_measure" in updates:
+            return Circuit(self.n_qubits, self.layers, md)
+        out = object.__new__(Circuit)
+        object.__setattr__(out, "n_qubits", self.n_qubits)
+        object.__setattr__(out, "layers", self.layers)
+        object.__setattr__(out, "metadata", MappingProxyType(md))
+        return out
 
     # -- views ----------------------------------------------------------------
 
@@ -369,7 +424,8 @@ class Circuit:
             yield from layer
 
     def gate_count(self) -> int:
-        return sum(1 for g in self.all_gates() if g.kind is not GateKind.BARRIER)
+        barrier = GateKind.BARRIER
+        return sum(1 for g in self.all_gates() if g.kind is not barrier)
 
     def measured_qubits(self) -> tuple[int, ...]:
         """Measured qubits in classical-bit order; empty when nothing is measured."""

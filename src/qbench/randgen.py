@@ -33,22 +33,26 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim not in HAAR_DIMS:
         raise ValidationError(f"haar sampling supports dims {HAAR_DIMS}, not {dim}")
-    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(ginibre)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(dim, 1, rng)[0]
+
+
+def _haar_stack(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` Haar unitaries from one draw and one stacked QR; the stream is
+    read as by `count` successive `haar_unitary` calls, each taking its real
+    and then its imaginary part, and the bits are the same."""
+    normal = rng.normal(size=(count, 2, dim, dim))
+    q, r = np.linalg.qr(normal[:, 0] + 1j * normal[:, 1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def _qv_layers(width: int, depth: int, rng: np.random.Generator) -> tuple[tuple[Gate, ...], ...]:
     """Model-circuit layers: random qubit pairing + Haar 2q unitary per pair."""
     layers = []
     for _ in range(depth):
-        perm = rng.permutation(width)
-        layer = []
-        for k in range(width // 2):
-            a, b = int(perm[2 * k]), int(perm[2 * k + 1])
-            layer.append(U2Q(a, b, haar_unitary(4, rng)))
-        layers.append(tuple(layer))
+        perm = rng.permutation(width).tolist()
+        unitaries = _haar_stack(4, width // 2, rng)
+        layers.append(tuple(U2Q(perm[2 * k], perm[2 * k + 1], u) for k, u in enumerate(unitaries)))
     return tuple(layers)
 
 

@@ -76,11 +76,23 @@ class TestGate:
         (GateKind.H, (0,), {"angle": 0.5, "cbit": 0}, "h takes no angle"),
         (GateKind.RZ, (0,), {"angle": float("nan"), "matrix": np.eye(4)}, "rz needs a finite angle"),
         (GateKind.MEASURE, (0,), {"paulis": "X"}, "measure takes no pauli letters"),
+        # A fractional or non-numeric index is refused, not truncated.
+        (GateKind.H, (1.5,), {}, "qubit indices must be integers: (1.5,)"),
+        (GateKind.CX, (0.9, 1.2), {}, "qubit indices must be integers: (0.9, 1.2)"),
+        (GateKind.X, ("0",), {}, "qubit indices must be integers: ('0',)"),
+        (GateKind.MEASURE, (0,), {"cbit": 1.5}, "measure needs an integer classical bit: 1.5"),
+        (GateKind.MEASURE, (0,), {"cbit": 1.0}, "measure needs an integer classical bit: 1.0"),
     ])
     def test_every_invalid_field_is_rejected(self, kind, targets, fields, message):
         with pytest.raises(ValidationError) as err:
             Gate(kind, targets, **fields)
         assert str(err.value) == message
+
+    def test_numpy_integers_index_qubits_and_bits(self):
+        g = Gate(GateKind.CX, (np.int64(0), np.int32(2)))
+        m = Measure(np.int64(1), np.uint8(3))
+        assert g.targets == (0, 2) and m.targets == (1,) and m.cbit == 3
+        assert all(type(v) is int for v in (*g.targets, *m.targets, m.cbit))
 
     def test_unitaries_are_unitary(self):
         for g in [H(0), X(0), S(0), Sdg(0), Rz(0, 0.7), CX(0, 1), SWAP(0, 1)]:
@@ -111,6 +123,27 @@ class TestCircuit:
         c = Circuit.from_gates(2, [H(0), Measure(0, 0), Measure(1, 1)])
         assert all(g.kind is GateKind.MEASURE for g in c.layers[-1])
         assert c.measured_qubits() == (0, 1)
+
+    def test_with_metadata_rechecks_the_layers_only_for_mid_measure(self):
+        c = Circuit(1, ((Measure(0, 0),), (H(0),)), {"mid_measure": True})
+        stamped = c.with_metadata(name="x")
+        assert stamped == c and stamped.layers is c.layers
+        assert dict(stamped.metadata) == {"mid_measure": True, "name": "x"}
+        assert dict(c.metadata) == {"mid_measure": True}
+        with pytest.raises(TypeError):
+            stamped.metadata["name"] = "y"
+        with pytest.raises(ValidationError):
+            c.with_metadata(mid_measure=False)
+
+    @pytest.mark.parametrize("gate, message", [
+        ({"kind": "cx", "targets": [0.9, 1.2]}, "qubit indices must be integers: (0.9, 1.2)"),
+        ({"kind": "measure", "targets": [0], "cbit": 1.5}, "measure needs an integer classical bit: 1.5"),
+    ])
+    def test_from_json_rejects_fractional_indices(self, gate, message):
+        doc = {"schema": "circuit/1", "n_qubits": 2, "layers": [[gate]]}
+        with pytest.raises(ValidationError) as err:
+            Circuit.from_json(doc)
+        assert str(err.value) == message
 
     def test_metadata_excluded_from_equality(self):
         a = Circuit.from_gates(1, [H(0)], metadata={"name": "a"})

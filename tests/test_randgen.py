@@ -11,7 +11,7 @@ from qbench.device import DeviceModel
 from qbench.errors import NonCliffordError, ValidationError
 from qbench.protocols import run_mirror_benchmark
 from qbench.randgen import (
-    VolumetricShape, haar_unitary, layered_model_circuit, make_mirror_circuit,
+    HAAR_DIMS, VolumetricShape, haar_unitary, layered_model_circuit, make_mirror_circuit,
     qv_model_circuit, random_clifford_circuit, sample_clifford_element,
     volumetric_family,
 )
@@ -41,7 +41,22 @@ class TestSeedStream:
             make()
 
 
+def _reference_haar(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar unitary by the single-matrix formula: QR of a complex Ginibre
+    matrix, real part drawn first, with R's diagonal phase-normalized."""
+    ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(ginibre)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 class TestHaar:
+    @pytest.mark.parametrize("dim", HAAR_DIMS)
+    def test_equals_the_single_matrix_formula(self, dim):
+        rng, ref = SeedStream(3).generator(), SeedStream(3).generator()
+        for _ in range(3):
+            assert np.array_equal(haar_unitary(dim, rng), _reference_haar(dim, ref))
+
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_unitarity_within_1e_10(self, dim):
         u = haar_unitary(dim, SeedStream(1).generator())
@@ -84,6 +99,17 @@ class TestModelCircuits:
             assert len(layer) == 2
             touched = {t for g in layer for t in g.targets}
             assert len(touched) == 4
+
+    @pytest.mark.parametrize("width", range(2, 15))
+    def test_stacked_layers_equal_successive_haar_draws(self, width):
+        circuit = layered_model_circuit(width, 3, SeedStream(98, (width,)))
+        rng = SeedStream(98, (width,)).generator()
+        for layer in circuit.layers:
+            perm = rng.permutation(width)
+            assert [g.targets for g in layer] == [
+                (int(perm[2 * k]), int(perm[2 * k + 1])) for k in range(width // 2)]
+            for g in layer:
+                assert np.array_equal(g.matrix, haar_unitary(4, rng))
 
     def test_determinism(self):
         a = qv_model_circuit(4, SeedStream(3))

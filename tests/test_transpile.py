@@ -1,10 +1,12 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from qbench.circuits import (
-    CX, CZ, Circuit, GateKind, H, Ry, Rz, SWAP, U2Q, gate_unitary, inverse_circuit, measure_all,
+    CX, CZ, Barrier, Circuit, Gate, GateKind, H, PauliLayer, ROTATION_KINDS, Ry, Rz, SWAP,
+    TWO_QUBIT_KINDS, U2Q, gate_unitary, inverse_circuit, measure_all,
 )
 from qbench import kak
 from qbench.device import DeviceModel, validate_against_device
@@ -12,7 +14,9 @@ from qbench.errors import EquivalenceProbeError, TranspileError
 from qbench.kak import (
     TwoQubitSequence, canonical_matrix, sequence_matrix, synthesize_two_qubit, weyl_decompose,
 )
-from qbench.randgen import haar_unitary, qv_model_circuit, random_clifford_circuit
+from qbench.randgen import (
+    haar_unitary, layered_model_circuit, qv_model_circuit, random_clifford_circuit,
+)
 from qbench.rng import SeedStream
 from qbench import transpile
 from qbench.statevector import ideal_distribution, run_statevector
@@ -23,6 +27,8 @@ from qbench.transpile import (
 
 RXCX = (GateKind.RZ, GateKind.RX, GateKind.CX)
 RYCZ = (GateKind.RZ, GateKind.RY, GateKind.CZ)
+RYCX = (GateKind.RZ, GateKind.RY, GateKind.CX)
+RXCZ = (GateKind.RZ, GateKind.RX, GateKind.CZ)
 
 _ANGLES = {"0": 0.0, "pi4": np.pi / 4, "pi2": np.pi / 2}
 _CORNERS = {f"canonical_{a}_{b}_{c}": canonical_matrix(_ANGLES[a], _ANGLES[b], _ANGLES[c])
@@ -433,3 +439,122 @@ class TestCancellation:
     def test_intervening_gate_blocks_cancellation(self):
         c = Circuit.from_gates(2, [CX(0, 1), H(0), CX(0, 1)])
         assert cancel_inverse_gates(c).gate_count() == 3
+
+
+def _every_kind_circuit(n: int, extra: int, rng: np.random.Generator) -> Circuit:
+    """A measured random circuit on `n` >= 3 qubits holding every gate kind once,
+    then `extra` gates of random kinds."""
+    kinds = [k for k in GateKind if k is not GateKind.MEASURE]
+
+    def one(kind: GateKind) -> Gate:
+        q = [int(x) for x in rng.choice(n, size=3, replace=False)]
+        if kind in ROTATION_KINDS:
+            return Gate(kind, (q[0],), angle=float(rng.uniform(-4.0, 4.0)))
+        if kind is GateKind.U2Q:
+            return U2Q(q[0], q[1], haar_unitary(4, rng))
+        if kind is GateKind.PAULI:
+            return PauliLayer(q, "".join(rng.choice(list("IXYZ"), size=3)), int(rng.choice([1, -1])))
+        if kind is GateKind.BARRIER:
+            return Barrier(*q[:2])
+        return Gate(kind, tuple(q[:2]) if kind in TWO_QUBIT_KINDS else (q[0],))
+
+    gates = [one(k) for k in kinds] + [one(kinds[i]) for i in rng.integers(len(kinds), size=extra)]
+    return measure_all(Circuit.from_gates(n, gates))
+
+
+class TestTrustedGates:
+    @pytest.mark.parametrize("natives", [RYCX, RYCZ, RXCX, RXCZ,
+                                         RYCZ + (GateKind.H, GateKind.X, GateKind.Z)],
+                             ids=["zyz-cx", "zyz-cz", "zxz-cx", "zxz-cz", "zyz-cz-named"])
+    def test_routed_and_lowered_gates_equal_checked_ones(self, natives):
+        # The line makes routing insert SWAPs and relabel gates of every kind.
+        device = DeviceModel.linear(5, native_gates=natives)
+        rng = SeedStream(96).generator()
+        for _ in range(3):
+            c = _every_kind_circuit(5, 40, rng)
+            routed = route_swaps(c, device)
+            lowered, _ = run_pipeline(c, device, TranspileConfig())
+            assert routed.metadata["swaps_added"] > 0
+            assert {g.kind for g in c.all_gates()} == set(GateKind)
+            for g in (*routed.all_gates(), *lowered.all_gates()):
+                checked = Gate(g.kind, g.targets, angle=g.angle, matrix=g.matrix,
+                               paulis=g.paulis, sign=g.sign, cbit=g.cbit)
+                assert g == checked
+                assert all(type(t) is int for t in g.targets)
+                assert g.angle is None or type(g.angle) is float
+                assert g.matrix is None or not g.matrix.flags.writeable
+                # Same dict size: the trusted gate shares its keys as checked gates do.
+                assert sys.getsizeof(vars(g)) == sys.getsizeof(vars(checked))
+
+    def test_routing_keeps_the_gates_it_does_not_move(self):
+        c = measure_all(qv_model_circuit(4, SeedStream(99)))
+        routed = route_swaps(c, DeviceModel.complete(4))
+        assert all(a is b for a, b in zip(c.all_gates(), routed.all_gates()))
+
+
+class TestPipelineWork:
+    def test_base_pipeline_checks_no_gate_it_builds(self, monkeypatch):
+        # Item 0 of the 14-qubit collision test at seed 2026.
+        c = measure_all(layered_model_circuit(14, 14, SeedStream(2026, (0,)).child(0)))
+        checked = []
+        real = Gate.__post_init__
+
+        def counted(gate):
+            checked.append(gate.kind)
+            real(gate)
+
+        monkeypatch.setattr(Gate, "__post_init__", counted)
+        out, log = run_pipeline(c, DeviceModel.complete(14), TranspileConfig())
+        assert checked == []
+        assert [(e.gates_in, e.gates_out) for e in log.entries] == [
+            (112, 112), (112, 112), (112, 1778), (1778, 1778)]
+        assert out.gate_count() == 1778 and out.metadata["transpile_mode"] == "base"
+
+    @pytest.mark.parametrize("passes", [(), ("validate", "route", "decompose", "cancel_inverses",
+                                             "validate")], ids=["base", "peak"])
+    def test_each_pass_counts_what_the_last_one_left(self, monkeypatch, passes):
+        outputs = []
+        for name in ("validate", "route", "decompose", "cancel_inverses"):
+            def recorded(circuit, device, entry, real=PASS_REGISTRY[name]):
+                outputs.append(real(circuit, device, entry))
+                return outputs[-1]
+            monkeypatch.setitem(PASS_REGISTRY, name, recorded)
+        monkeypatch.setattr(transpile, "_PASSED_PROBES", set())
+        dev = DeviceModel.linear(4, native_gates=RXCX)
+        base_circuit = random_clifford_circuit(4, 4, SeedStream(97))
+        c = measure_all(Circuit(4, base_circuit.layers + inverse_circuit(base_circuit).layers))
+        config = TranspileConfig(mode="peak", passes=passes) if passes else TranspileConfig()
+        _, log = run_pipeline(c, dev, config)
+        del outputs[:-len(log.entries)]  # the probe's runs come first
+        assert log.entries[0].gates_in == c.gate_count()
+        assert [e.gates_out for e in log.entries] == [o.gate_count() for o in outputs]
+        assert [e.gates_in for e in log.entries[1:]] == [e.gates_out for e in log.entries[:-1]]
+        assert len({e.gates_out for e in log.entries}) > 1
+
+    def _violating(self, monkeypatch):
+        """An H on a device whose native set lacks it, with lowering switched off."""
+        monkeypatch.setattr(transpile, "_PASSED_PROBES", set())
+        monkeypatch.setitem(PASS_REGISTRY, "decompose", lambda circuit, device, entry: circuit)
+        return measure_all(Circuit.from_gates(2, [H(0), CX(0, 1)])), DeviceModel.linear(2, native_gates=RXCX)
+
+    def test_stock_validate_reports_a_violating_output(self, monkeypatch):
+        c, dev = self._violating(monkeypatch)
+        with pytest.raises(TranspileError, match="still violates the device: gate h is not native"):
+            run_pipeline(c, dev, TranspileConfig())
+
+    def test_a_re_registered_validate_is_checked_after(self, monkeypatch):
+        c, dev = self._violating(monkeypatch)
+
+        def lenient(circuit, device, entry):
+            entry.violations = 0
+            return circuit
+
+        monkeypatch.setitem(PASS_REGISTRY, "validate", lenient)
+        with pytest.raises(TranspileError, match="still violates the device: gate h is not native"):
+            run_pipeline(c, dev, TranspileConfig())
+
+    @pytest.mark.parametrize("passes", [("route",), ("validate", "route")])
+    def test_a_peak_list_not_ending_in_validate_is_checked_after(self, monkeypatch, passes):
+        c, dev = self._violating(monkeypatch)
+        with pytest.raises(TranspileError, match="still violates the device: gate h is not native"):
+            run_pipeline(c, dev, TranspileConfig(mode="peak", passes=passes))
