@@ -70,7 +70,8 @@ class Gate:
     """One operation on an ordered tuple of qubits.
 
     `angle` is set for rotations, `matrix` for U2Q (a 4x4 unitary), `paulis`
-    and `sign` for a Pauli layer, `cbit` for a measurement.
+    and `sign` for a Pauli layer (every other kind keeps sign 1), `cbit` for a
+    measurement.
     """
 
     kind: GateKind
@@ -126,6 +127,8 @@ class Gate:
                 raise ValidationError("pauli sign must be +1 or -1")
         elif self.paulis is not None:
             raise ValidationError(f"{self.kind.value} takes no pauli letters")
+        elif self.sign != 1:
+            raise ValidationError(f"{self.kind.value} takes no sign")
         if takes == "cbit":
             cbit = self.cbit
             if cbit is not None and type(cbit) is not int:
@@ -343,8 +346,7 @@ class Circuit:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         # Looked up once: an enum member costs a class attribute lookup per gate.
-        n, measure = self.n_qubits, GateKind.MEASURE
-        measure_layers = set()
+        n, measure, last = self.n_qubits, GateKind.MEASURE, len(layers) - 1
         for li, layer in enumerate(layers):
             seen: set[int] = set()
             cbits: set[int] = set()
@@ -356,13 +358,11 @@ class Circuit:
                         raise ValidationError(f"qubit {t} touched twice in layer {li}")
                     seen.add(t)
                 if g.kind is measure:
-                    measure_layers.add(li)
+                    if li != last:
+                        raise ValidationError("measurements must sit in the final layer")
                     if g.cbit in cbits:
                         raise ValidationError(f"classical bit {g.cbit} written twice in layer {li}")
                     cbits.add(g.cbit)
-        if measure_layers and not self.metadata.get("mid_measure", False):
-            if measure_layers != {len(layers) - 1}:
-                raise ValidationError("measurements must sit in the final layer (or set mid_measure)")
 
     # -- construction helpers -------------------------------------------------
 
@@ -371,23 +371,32 @@ class Circuit:
                    metadata: Mapping[str, object] | None = None) -> "Circuit":
         """Pack gates into layers greedily (as soon as possible, left to right).
 
-        Measurements are hoisted into one dedicated final layer so the
-        final-layer invariant holds for straight-line programs.
+        Measurements are hoisted into one dedicated final layer, so no gate
+        may follow a measurement of one of its qubits.
         """
-        frontier = [0] * n_qubits
+        frontier: list[float] = [0] * n_qubits
         layers: list[list[Gate]] = []
         measures: list[Gate] = []
         measure = GateKind.MEASURE
         for g in gates:
-            if g.kind is measure:
-                measures.append(g)
-                continue
-            targets = g.targets
-            if len(targets) == 1:
-                depth = frontier[targets[0]]
-            else:
-                depth = max((frontier[t] for t in targets), default=0)
-            if depth == len(layers):
+            try:
+                if g.kind is measure:
+                    measures.append(g)
+                    # Above every depth: a later gate on the qubit lands past the last layer.
+                    frontier[g.targets[0]] = math.inf
+                    continue
+                targets = g.targets
+                if len(targets) == 1:
+                    depth = frontier[targets[0]]
+                else:
+                    depth = max((frontier[t] for t in targets), default=0)
+            except IndexError:
+                t = next(t for t in g.targets if t >= n_qubits)
+                raise ValidationError(f"gate target {t} out of range for {n_qubits} qubits") from None
+            if depth >= len(layers):
+                if depth > len(layers):
+                    q = next(t for t in targets if frontier[t] == math.inf)
+                    raise ValidationError(f"{g.kind.value} on qubit {q} follows its measurement")
                 layers.append([])
             layers[depth].append(g)
             for t in targets:
@@ -397,16 +406,10 @@ class Circuit:
         return cls(n_qubits, tuple(tuple(l) for l in layers), metadata or {})
 
     def with_metadata(self, **updates) -> "Circuit":
-        """This circuit with `updates` merged into its metadata.
-
-        Of the layer checks, only the final-layer rule for measurements reads
-        the metadata, so the layers are checked again only when `updates`
-        sets `mid_measure`.
-        """
+        """This circuit with `updates` merged into its metadata, sharing its
+        layers: the metadata plays no part in the layer checks."""
         md = dict(self.metadata)
         md.update(updates)
-        if "mid_measure" in updates:
-            return Circuit(self.n_qubits, self.layers, md)
         out = object.__new__(Circuit)
         object.__setattr__(out, "n_qubits", self.n_qubits)
         object.__setattr__(out, "layers", self.layers)
@@ -427,11 +430,14 @@ class Circuit:
         barrier = GateKind.BARRIER
         return sum(1 for g in self.all_gates() if g.kind is not barrier)
 
+    def measurements(self) -> list[Gate]:
+        """The measurements, which all sit in the final layer."""
+        measure = GateKind.MEASURE
+        return [g for g in self.layers[-1] if g.kind is measure] if self.layers else []
+
     def measured_qubits(self) -> tuple[int, ...]:
         """Measured qubits in classical-bit order; empty when nothing is measured."""
-        pairs = sorted(
-            ((g.cbit, g.targets[0]) for g in self.all_gates() if g.kind is GateKind.MEASURE),
-        )
+        pairs = sorted((g.cbit, g.targets[0]) for g in self.measurements())
         cbits = [c for c, _ in pairs]
         if cbits and cbits != list(range(len(cbits))):
             raise ValidationError(f"classical bits must be contiguous from 0, got {cbits}")
@@ -528,7 +534,7 @@ def circuit_stats(circuit: Circuit) -> CircuitStats:
 
 def inverse_circuit(circuit: Circuit) -> Circuit:
     """Reverse the layer order and invert each gate; fails on measurements."""
-    if any(g.kind is GateKind.MEASURE for g in circuit.all_gates()):
+    if circuit.measurements():
         raise NonInvertibleError("circuit contains measurements")
     layers = tuple(tuple(inverse_gate(g) for g in layer) for layer in reversed(circuit.layers))
     return Circuit(circuit.n_qubits, layers, dict(circuit.metadata))
@@ -536,7 +542,7 @@ def inverse_circuit(circuit: Circuit) -> Circuit:
 
 def measure_all(circuit: Circuit) -> Circuit:
     """Append a final layer measuring every qubit in index order."""
-    if any(g.kind is GateKind.MEASURE for g in circuit.all_gates()):
+    if circuit.measurements():
         raise ValidationError("circuit already measures")
     layer = tuple(Measure(q, q) for q in range(circuit.n_qubits))
     return Circuit(circuit.n_qubits, circuit.layers + (layer,), dict(circuit.metadata))

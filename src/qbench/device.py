@@ -11,7 +11,7 @@ from types import MappingProxyType
 
 from .circuits import Circuit, Gate, GateKind, TWO_QUBIT_KINDS
 from .errors import ValidationError
-from .noise import DriftSchedule
+from .noise import DriftSchedule, error_book
 
 DEVICE_SCHEMA = "devmodel/1"
 
@@ -62,14 +62,10 @@ class DeviceModel:
         object.__setattr__(self, "edges", tuple(sorted(set(edges))))
 
         object.__setattr__(self, "native_gates", frozenset(GateKind(g) for g in self.native_gates))
-        ge = {GateKind(k): float(v) for k, v in self.gate_error.items()}
-        ee = {tuple(sorted((int(a), int(b)))): float(v) for (a, b), v in self.edge_error.items()}
-        ro = tuple(float(r) for r in self.readout_error) or (0.0,) * self.n_qubits
+        ge, ee, ro = error_book(self.gate_error, self.edge_error, self.readout_error)
+        ro = ro or (0.0,) * self.n_qubits
         if len(ro) not in (1, self.n_qubits):
             raise ValidationError("readout_error must be scalar-like or per qubit")
-        for v in list(ge.values()) + list(ee.values()) + list(ro):
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"probability {v} outside [0, 1]")
         gd = {GateKind(k): float(v) for k, v in self.gate_duration.items()}
         if any(v < 0 for v in gd.values()):
             raise ValidationError("gate durations must be nonnegative")
@@ -82,8 +78,8 @@ class DeviceModel:
                 raise ValidationError("T1/T2 must be positive")
             if b > 2 * a + 1e-12:
                 raise ValidationError(f"T2 = {b} exceeds 2*T1 = {2 * a}")
-        object.__setattr__(self, "gate_error", MappingProxyType(ge))
-        object.__setattr__(self, "edge_error", MappingProxyType(ee))
+        object.__setattr__(self, "gate_error", ge)
+        object.__setattr__(self, "edge_error", ee)
         object.__setattr__(self, "gate_duration", MappingProxyType(gd))
         object.__setattr__(self, "t1", t1)
         object.__setattr__(self, "t2", t2)

@@ -97,6 +97,20 @@ _ONE_QUBIT_GATE_KINDS = frozenset(
 )
 
 
+def error_book(gate_error: Mapping, edge_error: Mapping, readout_error, *rates: float
+               ) -> tuple[Mapping, Mapping, tuple[float, ...]]:
+    """An error book normalized: read-only per-kind and per-edge (low qubit
+    first) rate maps and a readout tuple, every rate in them and in `rates`
+    checked to lie in [0, 1]."""
+    ge = {GateKind(k): float(v) for k, v in gate_error.items()}
+    ee = {tuple(sorted((int(a), int(b)))): float(v) for (a, b), v in edge_error.items()}
+    ro = tuple(float(r) for r in readout_error)
+    for v in (*ge.values(), *ee.values(), *ro, *rates):
+        if not (0.0 <= v <= 1.0):
+            raise ValidationError(f"probability {v} outside [0, 1]")
+    return MappingProxyType(ge), MappingProxyType(ee), ro
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing probability per gate kind plus per-qubit readout flip rates.
@@ -114,14 +128,10 @@ class NoiseModel:
     drift: DriftSchedule | None = None
 
     def __post_init__(self):
-        ge = {GateKind(k): float(v) for k, v in self.gate_error.items()}
-        ee = {tuple(sorted((int(a), int(b)))): float(v) for (a, b), v in self.edge_error.items()}
-        ro = tuple(float(r) for r in self.readout_error)
-        for v in list(ge.values()) + list(ee.values()) + list(ro) + [self.default_1q, self.default_2q]:
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"probability {v} outside [0, 1]")
-        object.__setattr__(self, "gate_error", MappingProxyType(ge))
-        object.__setattr__(self, "edge_error", MappingProxyType(ee))
+        ge, ee, ro = error_book(self.gate_error, self.edge_error, self.readout_error,
+                                self.default_1q, self.default_2q)
+        object.__setattr__(self, "gate_error", ge)
+        object.__setattr__(self, "edge_error", ee)
         object.__setattr__(self, "readout_error", ro)
 
     def error_for(self, kind: GateKind, targets: tuple[int, ...] = ()) -> float:

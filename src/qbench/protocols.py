@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, H, PauliString, Sdg, gate_unitary, measure_all
+from .circuits import Circuit, H, PauliString, Sdg, gate_unitary, measure_all
 from .cliffords import clifford_group
 from .device import DeviceModel
 from .distributions import SampleSet
@@ -592,7 +592,7 @@ def shadow_estimate(prep: Circuit, observables: list[PauliString], snapshots: in
         raise ValidationError("need at least one snapshot")
     if not observables:
         raise ValidationError("need at least one observable")
-    if any(g.kind is GateKind.MEASURE for g in prep.all_gates()):
+    if prep.measurements():
         raise ValidationError("the preparation circuit must be measurement-free")
     n = prep.n_qubits
     for obs in observables:

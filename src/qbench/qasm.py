@@ -4,6 +4,13 @@ Supported: one quantum register, one classical register, the fixed gate set
 (h x y z s sdg t tdg rx ry rz cx cz swap), barrier, and measure. Angle
 expressions may use numbers, pi, + - * / and parentheses. OpenQASM 3,
 classical control flow, and gate definitions are out of scope.
+
+Every operand is read by one rule: `reg[i]` names one index, and `reg` alone
+names every index of the register in order. A 1q gate applies to each qubit
+its operand names; a 2q gate takes two `reg[i]` operands; a barrier takes
+`reg` alone or a comma list of `reg[i]`. The two sides of a measure take the
+same form, so `measure q -> c;` needs registers of one size. Measurements end
+the circuit: a gate or barrier on a measured qubit is an error at its statement.
 """
 from __future__ import annotations
 
@@ -151,131 +158,99 @@ def parse_qasm(text: str) -> Circuit:
         raise QasmError(f"unsupported OpenQASM version {ver.text!r}", ver.line, ver.col)
     cur.next(";")
 
-    qreg_name: str | None = None
-    qreg_size = 0
-    creg_name: str | None = None
-    creg_size = 0
+    regs: dict[str, tuple[str, int]] = {}  # "qreg" / "creg" -> (name, size)
     gates: list[Gate] = []
+    measured: set[int] = set()
 
-    def qubit_ref() -> int:
+    def operand(decl: str, whole: bool | None = None, measure: bool = False) -> tuple[list[int], bool]:
+        """The indices one operand names, and whether it is the `reg` form.
+
+        `whole` True or False demands the `reg` or the `reg[i]` form; None
+        takes `reg` unless an index follows the name. A measure reports an
+        undeclared register as unknown, like any other wrong name.
+        """
         tok = cur.next()
-        if qreg_name is None:
-            raise QasmError("quantum register used before declaration", tok.line, tok.col)
-        if tok.text != qreg_name:
-            raise QasmError(f"unknown register {tok.text!r}", tok.line, tok.col)
+        name, size = regs.get(decl, (None, 0))
+        if tok.text != name:
+            if name is None and not measure:
+                raise QasmError("quantum register used before declaration", tok.line, tok.col)
+            what = "register" if decl == "qreg" else "classical register"
+            raise QasmError(f"unknown {what} {tok.text!r}", tok.line, tok.col)
+        if whole is None:
+            whole = (nxt := cur.peek()) is None or nxt.text != "["
+        if whole:
+            return list(range(size)), True
         idx = _parse_index(cur)
-        if idx >= qreg_size:
-            raise QasmError(f"index {idx} out of range for {qreg_name}[{qreg_size}]", tok.line, tok.col)
-        return idx
+        if idx >= size:
+            raise QasmError(f"index {idx} out of range for {name}[{size}]", tok.line, tok.col)
+        return [idx], False
 
-    while (tok := cur.peek()) is not None:
+    while cur.peek() is not None:
+        tok = cur.next()
         if tok.text == "include":
-            cur.next()
             cur.next()  # the quoted filename; contents are assumed to be qelib1
             cur.next(";")
             continue
         if tok.text in ("qreg", "creg"):
-            cur.next()
             name_tok = cur.next()
             if name_tok.kind != "id":
                 raise QasmError(f"expected a register name, got {name_tok.text!r}", name_tok.line, name_tok.col)
             size = _parse_index(cur)
             cur.next(";")
-            if tok.text == "qreg":
-                if qreg_name is not None:
-                    raise QasmError("only one quantum register is supported", tok.line, tok.col)
-                qreg_name, qreg_size = name_tok.text, size
-            else:
-                if creg_name is not None:
-                    raise QasmError("only one classical register is supported", tok.line, tok.col)
-                creg_name, creg_size = name_tok.text, size
+            if tok.text in regs:
+                which = "quantum" if tok.text == "qreg" else "classical"
+                raise QasmError(f"only one {which} register is supported", tok.line, tok.col)
+            regs[tok.text] = (name_tok.text, size)
             continue
         if tok.text == "measure":
-            cur.next()
-            reg_tok = cur.next()
-            if qreg_name is None or reg_tok.text != qreg_name:
-                raise QasmError(f"unknown register {reg_tok.text!r}", reg_tok.line, reg_tok.col)
-            broadcast = cur.peek() is not None and cur.peek().text != "["
-            if broadcast:
-                qubits = list(range(qreg_size))
-            else:
-                idx = _parse_index(cur)
-                if idx >= qreg_size:
-                    raise QasmError(f"index {idx} out of range for {qreg_name}[{qreg_size}]",
-                                    reg_tok.line, reg_tok.col)
-                qubits = [idx]
+            qubits, whole = operand("qreg", measure=True)
             cur.next("->")
-            ctok = cur.next()
-            if creg_name is None or ctok.text != creg_name:
-                raise QasmError(f"unknown classical register {ctok.text!r}", ctok.line, ctok.col)
-            if broadcast:
-                if creg_size != qreg_size:
-                    raise QasmError(
-                        f"register size mismatch: {qreg_name}[{qreg_size}] -> {creg_name}[{creg_size}]",
-                        ctok.line, ctok.col)
-                cbits = list(range(creg_size))
-            else:
-                cidx = _parse_index(cur)
-                if cidx >= creg_size:
-                    raise QasmError(f"index {cidx} out of range for {creg_name}[{creg_size}]",
-                                    ctok.line, ctok.col)
-                cbits = [cidx]
+            ctok = cur.peek()
+            cbits, _ = operand("creg", whole, measure=True)  # the form of the quantum side
+            if len(cbits) != len(qubits):
+                (q, n), (c, m) = regs["qreg"], regs["creg"]
+                raise QasmError(f"register size mismatch: {q}[{n}] -> {c}[{m}]", ctok.line, ctok.col)
             cur.next(";")
+            measured.update(qubits)
             gates.extend(Gate(GateKind.MEASURE, (q,), cbit=c) for q, c in zip(qubits, cbits))
             continue
+        angle = None
         if tok.text == "barrier":
-            cur.next()
-            targets: list[int] = []
-            first = cur.peek()
-            if first is not None and first.text == qreg_name:
-                nxt = cur.tokens[cur.i + 1] if cur.i + 1 < len(cur.tokens) else None
-                if nxt is not None and nxt.text != "[":
-                    cur.next()
-                    targets = list(range(qreg_size))
-            if not targets:
-                targets.append(qubit_ref())
-                while cur.peek() is not None and cur.peek().text == ",":
-                    cur.next(",")
-                    targets.append(qubit_ref())
-            cur.next(";")
-            gates.append(Gate(GateKind.BARRIER, tuple(targets)))
-            continue
-        if tok.kind == "id":
-            name = tok.text
-            kind = _GATE_NAMES.get(name)
+            kind = GateKind.BARRIER
+            targets, whole = operand("qreg")
+            while not whole and (nxt := cur.peek()) is not None and nxt.text == ",":
+                cur.next()
+                targets += operand("qreg", False)[0]
+            ops = [tuple(targets)]
+        elif tok.kind == "id":
+            kind = _GATE_NAMES.get(tok.text)
             if kind is None:
-                raise QasmError(f"unsupported gate {name!r}", tok.line, tok.col)
-            cur.next()
-            angle = None
-            if name in _ROTATIONS:
+                raise QasmError(f"unsupported gate {tok.text!r}", tok.line, tok.col)
+            if tok.text in _ROTATIONS:
                 cur.next("(")
                 angle = _parse_angle(cur)
                 cur.next(")")
             if kind in (GateKind.CX, GateKind.CZ, GateKind.SWAP):
-                a = qubit_ref()
+                (a,), _ = operand("qreg", False)
                 cur.next(",")
-                b = qubit_ref()
+                (b,), _ = operand("qreg", False)
                 if a == b:
-                    raise QasmError(f"{name} targets must be distinct", tok.line, tok.col)
-                cur.next(";")
-                gates.append(Gate(kind, (a, b)))
+                    raise QasmError(f"{tok.text} targets must be distinct", tok.line, tok.col)
+                ops = [(a, b)]
             else:
-                nxt = cur.peek()
-                broadcast = (nxt is not None and nxt.text == qreg_name
-                             and (cur.i + 1 >= len(cur.tokens) or cur.tokens[cur.i + 1].text != "["))
-                if broadcast:
-                    cur.next()
-                    qs = list(range(qreg_size))
-                else:
-                    qs = [qubit_ref()]
-                cur.next(";")
-                gates.extend(Gate(kind, (q,), angle=angle) for q in qs)
-            continue
-        raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+                ops = [(q,) for q in operand("qreg")[0]]
+        else:
+            raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        cur.next(";")
+        for qs in ops:
+            if hit := measured.intersection(qs):
+                name = regs["qreg"][0]
+                raise QasmError(f"{tok.text} on {name}[{min(hit)}] follows its measurement", tok.line, tok.col)
+        gates.extend(Gate(kind, qs, angle=angle) for qs in ops)
 
-    if qreg_name is None:
+    if "qreg" not in regs:
         raise QasmError("program declares no quantum register", 1, 1)
-    return Circuit.from_gates(qreg_size, gates, metadata={"source": "qasm"})
+    return Circuit.from_gates(regs["qreg"][1], gates, metadata={"source": "qasm"})
 
 
 def emit_qasm(circuit: Circuit) -> str:
@@ -285,7 +260,7 @@ def emit_qasm(circuit: Circuit) -> str:
     phase); U2Q gates are not expressible and raise.
     """
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{circuit.n_qubits}];"]
-    measures = [g for g in circuit.all_gates() if g.kind is GateKind.MEASURE]
+    measures = circuit.measurements()
     if measures:
         lines.append(f"creg c[{max(g.cbit for g in measures) + 1}];")
     for layer in circuit.layers:

@@ -164,10 +164,8 @@ def _run(circuit: Circuit, frames: int = 0, errors: dict | None = None
     sit side by side in one (n, 2n + frames) X/Z pair, so each gate is one
     `_push_frame` call; `_sign_flips` reads the tableau columns only. After
     gate i, `errors[i]` = (qubits, frames, x bits, z bits), if there, is XORed
-    into the frames. `circuit` must be Clifford and measure only at the end.
+    into the frames. `circuit` must be Clifford.
     """
-    if circuit.metadata.get("mid_measure"):
-        raise NonCliffordError("mid-circuit measurement is not supported by the tableau sampler")
     if circuit.n_qubits > STABILIZER_WIDTH_CAP:
         raise ValidationError(f"width {circuit.n_qubits} exceeds the tableau cap {STABILIZER_WIDTH_CAP}")
     n = circuit.n_qubits
@@ -188,7 +186,7 @@ def _run(circuit: Circuit, frames: int = 0, errors: dict | None = None
 
 
 def evolve_tableau(circuit: Circuit) -> StabilizerTableau:
-    """The ideal tableau after `circuit`, which must be Clifford and measure only at the end."""
+    """The ideal tableau after `circuit`, which must be Clifford."""
     return _run(circuit)[0]
 
 

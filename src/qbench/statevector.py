@@ -400,32 +400,24 @@ def run_statevector(circuit: Circuit) -> StateVector:
     return StateVector(circuit.n_qubits, rows.reshape(-1))
 
 
-def _measured_bit_distribution(full: np.ndarray, circuit: Circuit) -> ProbDist:
-    measured = circuit.measured_qubits()
-    if not measured:
-        return ProbDist(circuit.n_qubits, full)
-    n = circuit.n_qubits
-    view = full.reshape((2,) * n)
-    order = tuple(measured) + tuple(q for q in range(n) if q not in measured)
-    view = np.transpose(view, order)
-    k = len(measured)
-    return ProbDist(k, view.reshape(1 << k, -1).sum(axis=1))
-
-
 def ideal_distribution(circuit: Circuit) -> ProbDist:
     """Exact noiseless output distribution over the measured bits.
 
     With no measurement layer, all qubits are reported in index order.
     """
-    state = run_statevector(circuit)
-    return _measured_bit_distribution(np.abs(state.amps) ** 2, circuit)
+    full = np.abs(run_statevector(circuit).amps) ** 2
+    measured, n = circuit.measured_qubits(), circuit.n_qubits
+    if not measured:
+        return ProbDist(n, full)
+    order = measured + tuple(q for q in range(n) if q not in measured)
+    view = np.transpose(full.reshape((2,) * n), order)
+    return ProbDist(len(measured), view.reshape(1 << len(measured), -1).sum(axis=1))
 
 
-def _extract_measured_indices(samples: np.ndarray, circuit: Circuit) -> np.ndarray:
-    measured = circuit.measured_qubits()
+def _extract_measured_indices(samples: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
+    """Outcome indices over the `measured` qubits of `n` (all of them when empty)."""
     if not measured:
         return samples
-    n = circuit.n_qubits
     out = np.zeros_like(samples)
     k = len(measured)
     for pos, q in enumerate(measured):
@@ -517,5 +509,5 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
     offsets = noise.shot_offsets(shots) if noise is not None else None
     picks = _sample_plan(_plan(circuit, noise, offsets), n, shots, noise, offsets,
                          measured or tuple(range(n)), rng)
-    return SampleSet.from_indices(_extract_measured_indices(picks, circuit),
+    return SampleSet.from_indices(_extract_measured_indices(picks, measured, n),
                                   len(measured) if measured else n)

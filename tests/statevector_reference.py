@@ -137,7 +137,7 @@ def reference_sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | No
         if can_fire(noise.readout_for(q), offsets)]
     steps = [lambda a, g=gate: _apply_gate(a, g, n) for gate in gates]
     samples = _sample_with_table(steps, sites_per_gate, readout, offsets, shots, n, rng)
-    return SampleSet.from_indices(_extract_measured_indices(samples, circuit),
+    return SampleSet.from_indices(_extract_measured_indices(samples, measured, n),
                                   len(measured) if measured else n)
 
 

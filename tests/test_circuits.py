@@ -11,6 +11,19 @@ from qbench.rng import SeedStream
 from qbench.statevector import run_statevector
 
 
+# One valid gate of each kind: (register width, targets, fields).
+_EVERY_KIND = {
+    **{k: (1, (0,), {}) for k in (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S,
+                                   GateKind.SDG, GateKind.T, GateKind.TDG)},
+    **{k: (1, (0,), {"angle": 0.3}) for k in (GateKind.RX, GateKind.RY, GateKind.RZ)},
+    **{k: (2, (1, 0), {}) for k in (GateKind.CX, GateKind.CZ, GateKind.SWAP)},
+    GateKind.U2Q: (2, (0, 1), {"matrix": np.diag([1, 1j, -1, -1j])}),
+    GateKind.PAULI: (3, (2, 0), {"paulis": "YZ", "sign": -1}),
+    GateKind.MEASURE: (2, (1,), {"cbit": 0}),
+    GateKind.BARRIER: (3, (0, 2), {}),
+}
+
+
 class TestGate:
     def test_arity_enforced(self):
         with pytest.raises(ValidationError):
@@ -88,6 +101,21 @@ class TestGate:
             Gate(kind, targets, **fields)
         assert str(err.value) == message
 
+    def test_only_a_pauli_layer_takes_a_sign(self):
+        for kind, (_, targets, fields) in _EVERY_KIND.items():
+            if kind is not GateKind.PAULI:
+                with pytest.raises(ValidationError) as err:
+                    Gate(kind, targets, **fields, sign=-1)
+                assert str(err.value) == f"{kind.value} takes no sign"
+        assert Gate(GateKind.PAULI, (0, 1), paulis="XZ", sign=-1).sign == -1
+
+    def test_json_round_trips_one_gate_of_every_kind(self):
+        assert set(_EVERY_KIND) == set(GateKind)
+        for kind, (n, targets, fields) in _EVERY_KIND.items():
+            c = Circuit(n, ((Gate(kind, targets, **fields),),))
+            back = Circuit.from_json(c.to_json())
+            assert back == c and back.to_json() == c.to_json(), kind
+
     def test_numpy_integers_index_qubits_and_bits(self):
         g = Gate(GateKind.CX, (np.int64(0), np.int32(2)))
         m = Measure(np.int64(1), np.uint8(3))
@@ -112,7 +140,6 @@ class TestCircuit:
     def test_measure_must_sit_in_final_layer(self):
         with pytest.raises(ValidationError):
             Circuit(1, ((Measure(0, 0),), (H(0),)))
-        Circuit(1, ((Measure(0, 0),), (H(0),)), {"mid_measure": True})
 
     def test_from_gates_packs_greedily(self):
         c = Circuit.from_gates(2, [H(0), H(1), CX(0, 1), H(0)])
@@ -124,16 +151,42 @@ class TestCircuit:
         assert all(g.kind is GateKind.MEASURE for g in c.layers[-1])
         assert c.measured_qubits() == (0, 1)
 
-    def test_with_metadata_rechecks_the_layers_only_for_mid_measure(self):
-        c = Circuit(1, ((Measure(0, 0),), (H(0),)), {"mid_measure": True})
+    def test_with_metadata_shares_the_layers(self):
+        c = Circuit(2, ((H(0),), (CX(0, 1),), (Measure(0, 0), Measure(1, 1))), {"source": "t"})
         stamped = c.with_metadata(name="x")
         assert stamped == c and stamped.layers is c.layers
-        assert dict(stamped.metadata) == {"mid_measure": True, "name": "x"}
-        assert dict(c.metadata) == {"mid_measure": True}
+        assert dict(stamped.metadata) == {"source": "t", "name": "x"}
+        assert dict(c.metadata) == {"source": "t"}
         with pytest.raises(TypeError):
             stamped.metadata["name"] = "y"
+
+    def test_from_gates_refuses_out_of_range_targets(self):
+        for gates in ([H(5)], [H(0), CX(1, 2)], [Measure(2, 0)]):
+            with pytest.raises(ValidationError) as err:
+                Circuit.from_gates(2, gates)
+            assert str(err.value) == f"gate target {max(gates[-1].targets)} out of range for 2 qubits"
+
+    def test_no_gate_follows_a_measurement_at_any_way_in(self):
         with pytest.raises(ValidationError):
-            c.with_metadata(mid_measure=False)
+            Circuit(2, ((Measure(0, 0), H(1)), (CX(1, 0),)))
+        with pytest.raises(ValidationError) as err:
+            Circuit.from_gates(2, [H(0), Measure(0, 0), CX(1, 0)])
+        assert str(err.value) == "cx on qubit 0 follows its measurement"
+        with pytest.raises(ValidationError):
+            Circuit.from_gates(1, [Measure(0, 0), Gate(GateKind.BARRIER, (0,))])
+        doc = Circuit.from_gates(1, [H(0), Measure(0, 0)]).to_json()
+        doc["layers"].reverse()
+        with pytest.raises(ValidationError):
+            Circuit.from_json(doc)
+
+    def test_mid_measure_metadata_no_longer_admits_a_mid_circuit_measurement(self):
+        with pytest.raises(ValidationError):
+            Circuit(1, ((Measure(0, 0),), (H(0),)), {"mid_measure": True})
+
+    def test_measures_of_idle_qubits_are_hoisted_past_later_gates(self):
+        c = Circuit.from_gates(2, [Measure(0, 0), H(1), X(1), Measure(1, 1)])
+        assert c.layers == ((H(1),), (X(1),), (Measure(0, 0), Measure(1, 1)))
+        assert c.measured_qubits() == (0, 1)
 
     @pytest.mark.parametrize("gate, message", [
         ({"kind": "cx", "targets": [0.9, 1.2]}, "qubit indices must be integers: (0.9, 1.2)"),

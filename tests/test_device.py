@@ -3,6 +3,7 @@ import pytest
 from qbench.circuits import CX, Circuit, H, Rz, measure_all
 from qbench.device import DeviceModel, validate_against_device
 from qbench.errors import ValidationError
+from qbench.noise import NoiseModel
 from qbench.circuits import GateKind
 
 
@@ -21,6 +22,30 @@ class TestDeviceModel:
             DeviceModel.linear(2, readout_error=(1.5, 0.0))
         with pytest.raises(ValidationError):
             DeviceModel.linear(2, gate_error={GateKind.CX: -0.1})
+
+    @pytest.mark.parametrize("book, message", [
+        ({"gate_error": {"cx": 1.5}}, "probability 1.5 outside [0, 1]"),
+        ({"edge_error": {(1, 0): -0.25}}, "probability -0.25 outside [0, 1]"),
+        ({"readout_error": (0.0, 2.0)}, "probability 2.0 outside [0, 1]"),
+    ])
+    def test_device_and_noise_model_refuse_the_same_rates(self, book, message):
+        for make in (lambda: DeviceModel.linear(2, **book), lambda: NoiseModel(**book)):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value) == message
+
+    def test_device_and_noise_model_normalize_the_error_book_alike(self):
+        with pytest.raises(ValidationError) as err:
+            NoiseModel(default_2q=1.25)
+        assert str(err.value) == "probability 1.25 outside [0, 1]"
+        dev = DeviceModel.linear(3, gate_error={"cx": 0.5}, edge_error={(2, 1): 0.25})
+        noise = NoiseModel(gate_error={"cx": 0.5}, edge_error={(2, 1): 0.25})
+        for model in (dev, noise):
+            assert dict(model.gate_error) == {GateKind.CX: 0.5}
+            assert dict(model.edge_error) == {(1, 2): 0.25}
+            with pytest.raises(TypeError):
+                model.gate_error[GateKind.H] = 0.1
+        assert dev.readout_error == (0.0, 0.0, 0.0) and noise.readout_error == ()
 
     def test_coupling_strength_in_range(self):
         with pytest.raises(ValidationError):

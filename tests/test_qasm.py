@@ -116,6 +116,82 @@ def test_parse_emit_parse_fixpoint_over_corpus():
         assert emit_qasm(reparsed) == text
 
 
+def test_register_operands_name_every_index():
+    """`h q;`, `barrier q;` and `measure q -> c;` name every index in order:
+    they parse to the circuit their expanded forms and the gate list give."""
+    from qbench.circuits import Barrier, Gate
+
+    for k in range(60):
+        rng = SeedStream(9000 + k).generator()
+        n = int(rng.integers(1, 5))
+        whole, expanded, gates = [], [], []
+        for _ in range(int(rng.integers(1, 10))):
+            roll = rng.random()
+            if roll < 0.4:
+                name = ["h", "x", "s", "t"][int(rng.integers(0, 4))]
+                whole.append(f"{name} q;")
+                expanded += [f"{name} q[{q}];" for q in range(n)]
+                gates += [Gate(GateKind(name), (q,)) for q in range(n)]
+            elif roll < 0.7:
+                whole.append("barrier q;")
+                expanded.append("barrier " + ",".join(f"q[{q}]" for q in range(n)) + ";")
+                gates.append(Barrier(*range(n)))
+            else:
+                q = int(rng.integers(0, n))
+                whole.append(f"rz(0.25) q[{q}];")
+                expanded.append(f"rz(0.25) q[{q}];")
+                gates.append(Rz(q, 0.25))
+        if rng.random() < 0.7:
+            whole.append("measure q -> c;")
+            expanded += [f"measure q[{q}] -> c[{q}];" for q in range(n)]
+            gates += [Measure(q, q) for q in range(n)]
+        head = HEADER + f"qreg q[{n}]; creg c[{n}];\n"
+        expected = Circuit.from_gates(n, gates)
+        assert parse_qasm(head + "\n".join(whole)) == expected, f"program {k}"
+        assert parse_qasm(head + "\n".join(expanded)) == expected, f"program {k}"
+
+
+@pytest.mark.parametrize("program, line", [
+    ("qreg q[1]; creg c[1];\nmeasure q[0] -> c[0];\nx q[0];", 4),
+    ("qreg q[2]; creg c[2];\nmeasure q -> c;\n\ncx q[1], q[0];", 5),
+    ("qreg q[2]; creg c[2];\nmeasure q[1] -> c[1];\nh q;", 4),
+    ("qreg q[2]; creg c[2];\nmeasure q[0] -> c[0];\nbarrier q[1], q[0];", 4),
+], ids=["x-after-measure", "cx-after-register-measure", "register-h", "barrier"])
+def test_gate_after_measurement_is_refused_at_its_statement(program, line):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(HEADER + program)
+    assert "follows its measurement" in str(err.value)
+    assert (err.value.line, err.value.column) == (line, 1)
+
+
+@pytest.mark.parametrize("program, message", [
+    ("h q[0];", "line 2, col 3: quantum register used before declaration"),
+    ("qreg q[1];\nbarrier q[0], r[0];", "line 3, col 15: unknown register 'r'"),
+    ("creg c[1];\nmeasure q[0] -> c[0];", "line 3, col 9: unknown register 'q'"),
+    ("qreg q[1];\nmeasure q[0] -> c[0];", "line 3, col 17: unknown classical register 'c'"),
+    ("qreg q[1]; creg c[1];\nmeasure q[0] -> d[0];", "line 3, col 17: unknown classical register 'd'"),
+    ("qreg q[2];\nh q[2];", "line 3, col 3: index 2 out of range for q[2]"),
+    ("qreg q[2];\nbarrier q[0], q[3];", "line 3, col 15: index 3 out of range for q[2]"),
+    ("qreg q[2]; creg c[1];\nmeasure q[5] -> c[0];", "line 3, col 9: index 5 out of range for q[2]"),
+    ("qreg q[2]; creg c[1];\nmeasure q[0] -> c[1];", "line 3, col 17: index 1 out of range for c[1]"),
+    ("qreg q[3]; creg c[2];\nmeasure q -> c;", "line 3, col 14: register size mismatch: q[3] -> c[2]"),
+    ("qreg q[2]; creg c[2];\nmeasure q -> c[0];", "line 3, col 15: expected ';', got '['"),
+    ("qreg q[2]; creg c[2];\nmeasure q[0] -> c;", "line 3, col 18: expected '[', got ';'"),
+    ("qreg q[2];\nbarrier q, q[1];", "line 3, col 10: expected ';', got ','"),
+    ("qreg q[2];\ncx q, q[1];", "line 3, col 5: expected '[', got ','"),
+    ("qreg q[2];\nh q[a];", "line 3, col 5: expected an index, got 'a'"),
+])
+def test_operand_errors_name_the_operand(program, message):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(HEADER + program)
+    assert str(err.value) == message
+
+
+def test_measures_of_idle_qubits_still_end_the_circuit():
+    c = parse_qasm(HEADER + "qreg q[2]; creg c[2];\nmeasure q[0] -> c[0];\nh q[1];\nmeasure q[1] -> c[1];")
+    assert c == Circuit(2, ((H(1),), (Measure(0, 0), Measure(1, 1))))
+
+
 def test_roundtrip_preserves_exact_angles():
     c = Circuit.from_gates(1, [Rz(0, 0.1234567890123456789)])
     assert parse_qasm(emit_qasm(c)) == c
