@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -13,14 +13,11 @@ NORM_TOL = 1e-9
 
 # Dense JSON serialization is refused above this width (2^20 entries).
 SERIALIZE_WIDTH_CAP = 20
+INDEX_WIDTH_CAP = 62  # `SampleSet.indices` are int64
 
 
 def index_to_bits(index: int, n_bits: int) -> str:
     return format(index, f"0{n_bits}b")
-
-
-def bits_to_index(bits: str) -> int:
-    return int(bits, 2)
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,6 @@ class ProbDist:
         n = 1 << n_bits
         return cls(n_bits, np.full(n, 1.0 / n))
 
-    def prob_of(self, bits: str) -> float:
-        return float(self.probs[bits_to_index(bits)])
-
     def to_json(self) -> list[float]:
         if self.n_bits > SERIALIZE_WIDTH_CAP:
             raise ValidationError(
@@ -67,72 +61,81 @@ class ProbDist:
         return cls(n_bits, np.asarray(values, dtype=float))
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    """Multiset of measured bitstrings with total shot count."""
+    """Multiset of measured bitstrings with total shot count, held as arrays.
 
-    n_bits: int
-    counts: Mapping[str, int]
-    shots: int = field(default=0)
+    `keys` holds the distinct outcomes in ascending order, each as n_bits
+    '0'/'1' bytes (dtype `S{n_bits}`, bit 0 first), so any width fits; `freq`
+    holds their int64 counts. Bitstrings as `str` exist only at the boundary:
+    the checked constructor, `counts`, and JSON.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("n_bits", "keys", "freq", "shots")
+
+    def __init__(self, n_bits: int, counts: Mapping[str, int], shots: int = 0):
         # Every key and count is checked in one pass; only a failing set is
         # scanned key by key, to raise on the first bad entry.
         try:
-            values = list(map(int, self.counts.values()))
-            valid = set(map(len, self.counts)) <= {self.n_bits} \
-                and set("".join(self.counts)) <= {"0", "1"} and min(values, default=1) > 0
+            values = list(map(int, counts.values()))
+            valid = set(map(len, counts)) <= {n_bits} \
+                and set("".join(counts)) <= {"0", "1"} and min(values, default=1) > 0
         except (TypeError, ValueError):
             valid = False
         if not valid:
-            for bits, c in self.counts.items():
+            for bits, c in counts.items():
                 c = int(c)
-                if len(bits) != self.n_bits or any(ch not in "01" for ch in bits):
-                    raise ValidationError(f"bad bitstring key {bits!r} for {self.n_bits} bits")
+                if len(bits) != n_bits or any(ch not in "01" for ch in bits):
+                    raise ValidationError(f"bad bitstring key {bits!r} for {n_bits} bits")
                 if c <= 0:
                     raise ValidationError("counts must be positive")
-        counts = dict(zip(self.counts, values))
         total = sum(values)
-        shots = self.shots or total
-        if total != shots:
+        if total != (shots or total):
             raise ValidationError(f"counts sum to {total}, declared shots {shots}")
-        object.__setattr__(self, "counts", MappingProxyType(counts))
-        object.__setattr__(self, "shots", shots)
+        keys = np.array(list(counts), dtype=f"S{n_bits}")
+        order = np.argsort(keys)
+        self._store(n_bits, keys[order], np.array(values, dtype=np.int64)[order])
+
+    def _store(self, n_bits: int, keys: np.ndarray, freq: np.ndarray) -> None:
+        keys.setflags(write=False)
+        freq.setflags(write=False)
+        self.n_bits, self.keys, self.freq, self.shots = n_bits, keys, freq, int(freq.sum())
 
     @classmethod
-    def from_indices(cls, indices: np.ndarray, n_bits: int) -> "SampleSet":
-        values, freq = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
-        if 0 < n_bits < 64 and (not values.size or (values[0] >= 0 and values[-1] >> n_bits == 0)):
-            # Each index's low n_bits bits, high bit first, as '0'/'1' bytes viewed as one string.
-            bits = np.unpackbits(values.astype(">i8").view(np.uint8).reshape(-1, 8), axis=1)
-            keys = (bits[:, 64 - n_bits:] + ord("0")).view(f"S{n_bits}").ravel().astype(str).tolist()
-        else:  # out-of-range indices keep their over-long keys, which validation rejects
-            keys = [index_to_bits(int(v), n_bits) for v in values]
-        return cls(n_bits, dict(zip(keys, freq.tolist())))
+    def from_rows(cls, rows: np.ndarray) -> "SampleSet":
+        """The outcomes of a (shots, n_bits) uint8 array of 0/1 bits, one row per shot."""
+        chars = np.ascontiguousarray(rows + np.uint8(ord("0")))
+        keys, freq = np.unique(chars.view(f"S{rows.shape[1]}").ravel(), return_counts=True)
+        samples = cls.__new__(cls)
+        samples._store(rows.shape[1], keys, freq.astype(np.int64, copy=False))
+        return samples
 
-    def index_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, counts) arrays sorted by index."""
-        items = sorted((bits_to_index(b), c) for b, c in self.counts.items())
-        idx = np.array([i for i, _ in items], dtype=np.int64)
-        cnt = np.array([c for _, c in items], dtype=np.int64)
-        return idx, cnt
+    @property
+    def counts(self) -> Mapping[str, int]:
+        """Read-only {bitstring: count}, built on each access."""
+        return MappingProxyType(self.to_json())
+
+    def indices(self) -> np.ndarray:
+        """Each of `keys` as an int64 index, bit 0 most significant: ascending."""
+        if self.n_bits > INDEX_WIDTH_CAP:
+            raise ValidationError(f"{self.n_bits}-bit outcomes have no index (cap {INDEX_WIDTH_CAP})")
+        bits = self.keys.view(np.uint8).reshape(len(self.keys), self.n_bits) - np.uint8(ord("0"))
+        return bits @ (1 << np.arange(self.n_bits - 1, -1, -1, dtype=np.int64))
 
     def empirical(self) -> ProbDist:
         p = np.zeros(1 << self.n_bits)
-        for bits, c in self.counts.items():
-            p[bits_to_index(bits)] = c / self.shots
+        p[self.indices()] = self.freq / self.shots
         return ProbDist(self.n_bits, p)
 
     def merge(self, other: "SampleSet") -> "SampleSet":
         if other.n_bits != self.n_bits:
             raise ValidationError("cannot merge sample sets of different widths")
-        counts = dict(self.counts)
+        counts = self.to_json()
         for bits, c in other.counts.items():
             counts[bits] = counts.get(bits, 0) + c
         return SampleSet(self.n_bits, counts)
 
     def to_json(self) -> dict[str, int]:
-        return {bits: int(c) for bits, c in sorted(self.counts.items())}
+        return dict(zip(self.keys.astype(str).tolist(), self.freq.tolist()))
 
     @classmethod
     def from_json(cls, doc: Mapping[str, int], n_bits: int | None = None) -> "SampleSet":
@@ -145,4 +148,8 @@ class SampleSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SampleSet):
             return NotImplemented
-        return self.n_bits == other.n_bits and dict(self.counts) == dict(other.counts)
+        return self.n_bits == other.n_bits and np.array_equal(self.keys, other.keys) \
+            and np.array_equal(self.freq, other.freq)
+
+    def __repr__(self) -> str:
+        return f"SampleSet({self.n_bits}, {self.to_json()})"

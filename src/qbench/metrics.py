@@ -85,28 +85,32 @@ def _check_widths(a_bits: int, b_bits: int) -> None:
         raise ValidationError(f"width mismatch: {a_bits} vs {b_bits} bits")
 
 
-def heavy_set(p_ideal: ProbDist) -> frozenset[str]:
-    """Bitstrings strictly heavier than the median ideal probability.
+def _heavy_mask(p_ideal: ProbDist) -> np.ndarray:
+    """Per outcome index, whether it is strictly heavier than the median ideal probability.
 
     The median of the (even-length) probability list is the mean of its two
     central order statistics; an exactly uniform distribution therefore has
-    an empty heavy set.
+    no heavy outcome.
     """
     p = np.sort(p_ideal.probs)
     n = p.size
     median = 0.5 * (p[n // 2 - 1] + p[n // 2]) if n % 2 == 0 else p[n // 2]
-    heavy = np.nonzero(p_ideal.probs > median)[0]
-    return frozenset(index_to_bits(int(i), p_ideal.n_bits) for i in heavy)
+    return p_ideal.probs > median
+
+
+def heavy_set(p_ideal: ProbDist) -> frozenset[str]:
+    """Bitstrings strictly heavier than the median ideal probability (`_heavy_mask`)."""
+    return frozenset(index_to_bits(int(i), p_ideal.n_bits)
+                     for i in np.flatnonzero(_heavy_mask(p_ideal)))
 
 
 def hog_probability(p_or_samples: ProbDist | SampleSet, p_ideal: ProbDist) -> float:
-    """Probability mass the first argument puts on the ideal heavy set."""
+    """Probability mass the first argument puts on the ideal heavy set, summed in index order."""
     _check_widths(p_or_samples.n_bits, p_ideal.n_bits)
-    heavy = heavy_set(p_ideal)
+    heavy = _heavy_mask(p_ideal)
     if isinstance(p_or_samples, SampleSet):
-        hits = sum(c for bits, c in p_or_samples.counts.items() if bits in heavy)
-        return hits / p_or_samples.shots
-    return float(sum(p_or_samples.prob_of(bits) for bits in heavy))
+        return int(p_or_samples.freq[heavy[p_or_samples.indices()]].sum()) / p_or_samples.shots
+    return float(p_or_samples.probs[heavy].sum())
 
 
 def hellinger_distance(p: ProbDist, q: ProbDist) -> float:
@@ -145,10 +149,9 @@ def xeb_alpha(samples: SampleSet, p_ideal: ProbDist) -> XebAlpha:
     if np.any(p <= 0.0):
         raise DegenerateInputError(
             "ideal distribution has zero entries; cross-entropy difference diverges")
-    idx, cnt = samples.index_counts()
     h_cl = -float(np.log(p).mean())
-    surprisal = -np.log(p[idx])
-    mean_surprisal = float((surprisal * cnt).sum() / samples.shots)
+    surprisal = -np.log(p[samples.indices()])
+    mean_surprisal = float((surprisal * samples.freq).sum() / samples.shots)
     return XebAlpha(h_cl - mean_surprisal, 1.0 / math.sqrt(samples.shots), samples.shots)
 
 
@@ -186,7 +189,7 @@ def collision_volume(samples: SampleSet) -> CollisionStats:
     """Collision statistics of a sample set (needs at least 2 shots)."""
     if samples.shots < 2:
         raise ValidationError("collision volume needs at least 2 shots")
-    distinct = len(samples.counts)
+    distinct = len(samples.freq)
     collisions = samples.shots - distinct
     n_outcomes = 1 << samples.n_bits
     delta = collision_delta(collisions, samples.shots, n_outcomes)

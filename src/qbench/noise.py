@@ -9,17 +9,19 @@ every rate, gate and readout alike (RB's readout too); rates clip to [0, 1].
 Draw layout: a sampling call draws every error it will use first, as one
 sparse table (`draw_errors`). Its site list is the gate sites that can fire
 for some shot, in gate order (`firing_sites`), then the measured qubits whose
-clipped readout rate is above 0 for some shot (`readout_sites`), each a
-one-label site whose hit is a flip. Only the hits are drawn: geometric gaps
-per site, drift thinning, then one label per hit (see `draw_errors`). Then
-come the outcome picks. The statevector engine, which randomized benchmarking
-shares with one site per Clifford element, picks with one `rng.random` per
-shot, chunk by chunk: each shot takes the first index whose normalized
-cumulative sum reaches its draw, and no chunk size changes a bit. The tableau
-sampler, with or without noise, picks with one `rng.integers(0, 2, (shots,
-k), uint8)`, row `shot` for each shot, when the ideal outcomes span k > 0
-random bits. So from one seed the two backends draw one table for a Clifford
-circuit.
+clipped readout rate is above 0 for some shot, in order, each a one-label site
+whose hit is a flip. Only the hits are drawn: geometric gaps per site, drift
+thinning, then one label per hit (see `draw_errors`). `draw_call` is the one
+place that builds the site list's readout part, draws the table and splits it:
+the gate hits, and the readout flips by outcome column, which both samplers
+XOR as they are into their rows of outcome bits. Then come the outcome picks.
+The statevector engine, which randomized benchmarking shares with one site per
+Clifford element, picks with one `rng.random` per shot, chunk by chunk: each
+shot takes the first index whose normalized cumulative sum reaches its draw,
+and no chunk size changes a bit. The tableau sampler, with or without noise,
+picks with one `rng.integers(0, 2, (shots, k), uint8)`, row `shot` for each
+shot, when the ideal outcomes span k > 0 random bits. So from one seed the two
+backends draw one table for a Clifford circuit.
 """
 from __future__ import annotations
 
@@ -243,14 +245,6 @@ def firing_sites(noise: NoiseModel | None, gates, offsets: np.ndarray | None
     return sites
 
 
-def readout_sites(noise: NoiseModel | None, qubits, offsets: np.ndarray | None
-                  ) -> list[tuple[int, float]]:
-    """(qubit, base readout rate) of each of `qubits`, in order, whose readout can flip."""
-    if noise is None:
-        return []
-    return [(q, noise.readout_for(q)) for q in qubits if can_fire(noise.readout_for(q), offsets)]
-
-
 def draw_errors(sites: list[tuple[tuple[int, ...], float]], readout: list[tuple[int, float]],
                 offsets: np.ndarray | None, shots: int, rng: np.random.Generator
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,3 +294,19 @@ def draw_errors(sites: list[tuple[tuple[int, ...], float]], readout: list[tuple[
         site, shot = site[keep], shot[keep]
     label = (rng.random(len(site)) * labels[site]).astype(np.int64)
     return site, shot, label
+
+
+def draw_call(sites: list[tuple[tuple[int, ...], float]], noise: NoiseModel | None,
+              readout: tuple[int, ...], offsets: np.ndarray | None, shots: int,
+              rng: np.random.Generator) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """A call's error table, `draw_errors` over the gate `sites` and then the
+    qubits of `readout` (the measured qubits, in outcome order) whose readout
+    can flip, split: the gate hits (site, shot, label), and the flips (shot,
+    column in `readout`), which never repeat a pair, so `bits[flips] ^= 1`
+    applies them to (shots, len(readout)) outcome bits."""
+    rates = [noise.readout_for(q) for q in readout] if noise is not None else []
+    column = np.array([c for c, rate in enumerate(rates) if can_fire(rate, offsets)], dtype=np.int64)
+    flips = [(readout[c], rates[c]) for c in column]
+    site, shot, label = draw_errors(sites, flips, offsets, shots, rng)
+    gate = site < len(sites)
+    return (site[gate], shot[gate], label[gate]), (shot[~gate], column[site[~gate] - len(sites)])

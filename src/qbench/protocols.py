@@ -397,8 +397,8 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
             gates = tuple(g for idx in indices for g in group.elements[idx].gates)
             plan = [(qubits, group.unitary(i), sites)
                     for i in indices + [group.inverse_index(gates)]]
-            outcomes = _sample_plan(plan, n_qubits, shots, noise, offsets, qubits, rng)
-            per_seq.append(float(np.mean(outcomes == 0)))
+            bits = _sample_plan(plan, n_qubits, shots, noise, offsets, qubits, rng)
+            per_seq.append(float(np.mean(~bits.any(axis=1))))
         survivals.append(per_seq)
     return RbResult(n_qubits, list(lengths), survivals, shots, stream.as_record())
 
@@ -467,7 +467,7 @@ def run_mirror_benchmark(device: DeviceModel, noise: NoiseModel | None,
                 spec = make_mirror_circuit(base, item.child(1))
                 samples = stabilizer_sample(spec.circuit, shots, item.child(2).generator(),
                                             noise=noise)
-                success = samples.counts.get(spec.expected, 0) / shots
+                success = int(samples.freq[samples.keys == spec.expected.encode()].sum()) / shots
                 records.append(MirrorRecord(width, depth, success, spec.expected))
     return MirrorResult(records, shots, stream.as_record())
 

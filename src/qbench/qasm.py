@@ -10,7 +10,9 @@ names every index of the register in order. A 1q gate applies to each qubit
 its operand names; a 2q gate takes two `reg[i]` operands; a barrier takes
 `reg` alone or a comma list of `reg[i]`. The two sides of a measure take the
 same form, so `measure q -> c;` needs registers of one size. Measurements end
-the circuit: a gate or barrier on a measured qubit is an error at its statement.
+the circuit: a gate, barrier or second measurement on a measured qubit is an
+error at its statement, as are a second write of a classical bit and any
+statement the `Gate` checks refuse.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, GateKind
-from .errors import QasmError, UnsupportedConstructError
+from .errors import QasmError, UnsupportedConstructError, ValidationError
 
 _GATE_NAMES = {
     "h": GateKind.H, "x": GateKind.X, "y": GateKind.Y, "z": GateKind.Z,
@@ -161,6 +163,7 @@ def parse_qasm(text: str) -> Circuit:
     regs: dict[str, tuple[str, int]] = {}  # "qreg" / "creg" -> (name, size)
     gates: list[Gate] = []
     measured: set[int] = set()
+    written: set[int] = set()  # classical bits
 
     def operand(decl: str, whole: bool | None = None, measure: bool = False) -> tuple[list[int], bool]:
         """The indices one operand names, and whether it is the `reg` form.
@@ -202,7 +205,9 @@ def parse_qasm(text: str) -> Circuit:
                 raise QasmError(f"only one {which} register is supported", tok.line, tok.col)
             regs[tok.text] = (name_tok.text, size)
             continue
+        angle = None
         if tok.text == "measure":
+            kind = GateKind.MEASURE
             qubits, whole = operand("qreg", measure=True)
             cur.next("->")
             ctok = cur.peek()
@@ -210,18 +215,17 @@ def parse_qasm(text: str) -> Circuit:
             if len(cbits) != len(qubits):
                 (q, n), (c, m) = regs["qreg"], regs["creg"]
                 raise QasmError(f"register size mismatch: {q}[{n}] -> {c}[{m}]", ctok.line, ctok.col)
-            cur.next(";")
-            measured.update(qubits)
-            gates.extend(Gate(GateKind.MEASURE, (q,), cbit=c) for q, c in zip(qubits, cbits))
-            continue
-        angle = None
-        if tok.text == "barrier":
+            if hit := written.intersection(cbits):
+                raise QasmError(f"measure writes {regs['creg'][0]}[{min(hit)}] twice", tok.line, tok.col)
+            written.update(cbits)
+            ops = [((q,), c) for q, c in zip(qubits, cbits)]
+        elif tok.text == "barrier":
             kind = GateKind.BARRIER
             targets, whole = operand("qreg")
             while not whole and (nxt := cur.peek()) is not None and nxt.text == ",":
                 cur.next()
                 targets += operand("qreg", False)[0]
-            ops = [tuple(targets)]
+            ops = [(tuple(targets), None)]
         elif tok.kind == "id":
             kind = _GATE_NAMES.get(tok.text)
             if kind is None:
@@ -234,19 +238,22 @@ def parse_qasm(text: str) -> Circuit:
                 (a,), _ = operand("qreg", False)
                 cur.next(",")
                 (b,), _ = operand("qreg", False)
-                if a == b:
-                    raise QasmError(f"{tok.text} targets must be distinct", tok.line, tok.col)
-                ops = [(a, b)]
+                ops = [((a, b), None)]
             else:
-                ops = [(q,) for q in operand("qreg")[0]]
+                ops = [((q,), None) for q in operand("qreg")[0]]
         else:
             raise QasmError(f"unexpected token {tok.text!r}", tok.line, tok.col)
         cur.next(";")
-        for qs in ops:
+        for qs, _ in ops:
             if hit := measured.intersection(qs):
                 name = regs["qreg"][0]
                 raise QasmError(f"{tok.text} on {name}[{min(hit)}] follows its measurement", tok.line, tok.col)
-        gates.extend(Gate(kind, qs, angle=angle) for qs in ops)
+        try:
+            gates.extend(Gate(kind, qs, angle=angle, cbit=c) for qs, c in ops)
+        except ValidationError as err:  # the gate's own checks, reported at its statement
+            raise QasmError(str(err), tok.line, tok.col) from None
+        if kind is GateKind.MEASURE:
+            measured.update(q for (q,), _ in ops)
 
     if "qreg" not in regs:
         raise QasmError("program declares no quantum register", 1, 1)

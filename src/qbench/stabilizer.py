@@ -17,10 +17,10 @@ add up to, conjugated through the gates that follow them. Signs are dropped,
 since they do not change outcomes. A frame's X bits flip outcome bits and its
 Z bits leave them alone, so a shot's outcomes are uniform over c0 xor frame_x
 xor span(basis). The call's errors come first, as the one sparse table of
-`qbench.noise.draw_errors` that the statevector sampler reads too; then the
+`qbench.noise.draw_call` that the statevector sampler reads too; then the
 ideal tableau's columns and the frames go through one gate loop (`_run`),
-each gate's hits XORed into the frames after it; then the outcome picks.
-A noiseless circuit is the case with no frames and no table.
+each gate's hits XORed into the frames after it; then the outcome picks,
+then the readout flips. A noiseless circuit has no frames and no table.
 
 The same row representation doubles as an exact group-element encoding for
 Clifford enumeration.
@@ -32,7 +32,7 @@ import numpy as np
 from .circuits import Circuit, Gate, GateKind
 from .distributions import SampleSet
 from .errors import NonCliffordError, ValidationError
-from .noise import PAULI_BITS, NoiseModel, draw_errors, firing_sites, readout_sites
+from .noise import PAULI_BITS, NoiseModel, draw_call, firing_sites
 
 STABILIZER_WIDTH_CAP = 1000
 
@@ -142,17 +142,6 @@ def _row_reduce(x: np.ndarray, z: np.ndarray, r: np.ndarray, block: np.ndarray) 
             z[others] ^= z[row]
         pivots.append(col)
     return pivots
-
-
-def _sample_set(bits: np.ndarray, measured: tuple[int, ...]) -> SampleSet:
-    """Counts of the measured bit columns, keyed from the bit rows so that any width fits.
-
-    Each shot's bits become one fixed-width bytes key, so one 1-D `np.unique`
-    sorts and counts them.
-    """
-    chars = np.ascontiguousarray(bits[:, list(measured)] + ord("0"))
-    keys, freq = np.unique(chars.view(f"S{len(measured)}").ravel(), return_counts=True)
-    return SampleSet(len(measured), dict(zip((k.decode() for k in keys.tolist()), freq.tolist())))
 
 
 def _run(circuit: Circuit, frames: int = 0, errors: dict | None = None
@@ -284,7 +273,7 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
     """Sample measurement outcomes of a Clifford circuit.
 
     With a nontrivial noise model, the call's error table is drawn first
-    (`qbench.noise.draw_errors` over the gate sites of `firing_sites`, then
+    (`qbench.noise.draw_call` over the gate sites of `firing_sites`, then
     the measured qubits' readout bits), and each shot gets a Pauli frame, X
     and Z bits per qubit. The ideal tableau and the frames are evolved in one
     gate loop, each gate's hits XORed into the frames after it. Without one,
@@ -293,7 +282,7 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
     columns of the basis, xor the basis rows it picks with row `shot` of one
     `rng.integers(0, 2, (shots, k), uint8)` draw. So every shot gets the bits
     a tableau evolved with its own errors would give. The table's readout
-    flips are applied last.
+    flips are applied last, to the measured columns.
     """
     if shots <= 0:
         raise ValidationError("shots must be positive")
@@ -306,15 +295,9 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
     if noise is not None:
         offsets = noise.shot_offsets(shots)
         sites_per_gate = firing_sites(noise, list(circuit.all_gates()), offsets)
-        n_sites = sum(len(sites) for sites in sites_per_gate)
-        readout = readout_sites(noise, measured, offsets)
-        site, shot, label = draw_errors([s for sites in sites_per_gate for s in sites], readout,
-                                        offsets, shots, rng)
-        on_gate = site < n_sites
-        frames = shots
-        errors = _frame_errors(sites_per_gate, site[on_gate], shot[on_gate], label[on_gate])
-        readout_qubit = np.array([q for q, _ in readout], dtype=np.int64)
-        flips = (shot[~on_gate], readout_qubit[site[~on_gate] - n_sites])
+        hits, flips = draw_call([s for sites in sites_per_gate for s in sites], noise, measured,
+                                offsets, shots, rng)
+        frames, errors = shots, _frame_errors(sites_per_gate, *hits)
     tab, fx = _run(circuit, frames, errors)
     c0, basis = tab.outcome_space()
     bits = np.broadcast_to(c0, (shots, n)).copy()
@@ -328,6 +311,7 @@ def stabilizer_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
         free = n - 1 - np.argmax(basis[:, ::-1], axis=1)
         picks = rng.integers(0, 2, size=(shots, k), dtype=np.uint8)
         bits ^= ((bits[:, free] ^ picks) @ basis) & 1
+    bits = bits[:, list(measured)]
     if flips is not None:
-        np.bitwise_xor.at(bits, flips, np.uint8(1))
-    return _sample_set(bits, measured)
+        bits[flips] ^= 1
+    return SampleSet.from_rows(bits)

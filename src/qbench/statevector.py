@@ -9,7 +9,7 @@ into an execution plan, a list of (targets, fused unitary, sites), where the
 sites are the (qubits, rate) pairs of `qbench.noise.firing_sites`, those that
 can fire for some shot of the call; randomized benchmarking builds its plan
 directly, one op per Clifford element with one site at the element rate. A
-call first draws its whole error table with `qbench.noise.draw_errors`: the
+call first draws its whole error table with `qbench.noise.draw_call`: the
 plan's sites in order, then its readout bits. Then it picks outcomes, one
 `rng.random` per shot, and nothing else is drawn, so how the shots are
 chunked to bound memory changes no bit. The engine applies each op to every
@@ -29,6 +29,7 @@ cumulative sum reaches the shot's uniform draw (`_sample_rows`), found for
 every shot at once by a fixed-step binary search over the rows' flat table.
 Each shot takes one draw whatever the probabilities, so a last-digit change
 to one outcome's probability moves only the shots whose draws fall within it.
+The shot's row of measured bits is read from its pick, readout flips XORed in.
 
 Fusion follows qsim (Isakov et al., arXiv:2111.02396) but tracks the last op
 on each qubit, because lowered gates are interleaved layer by layer: a 1q
@@ -56,7 +57,7 @@ from .circuits import (
 )
 from .distributions import ProbDist, SampleSet
 from .errors import ValidationError, WidthCapError
-from .noise import PAULI_BITS, NoiseModel, draw_errors, firing_sites, readout_sites
+from .noise import PAULI_BITS, NoiseModel, draw_call, firing_sites
 
 STATEVECTOR_WIDTH_CAP = 24
 
@@ -204,7 +205,7 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
     op only while it is the last op on every one of its qubits, so it moves
     past nothing that touches them; it runs where its last op was. An op
     with sites stays alone, so the plan's sites, read in order, are the
-    call's site list of `qbench.noise.draw_errors`.
+    call's site list of `qbench.noise.draw_call`.
     """
     codes: list[int] = []  # one per 1q factor
     angles: list[float] = []
@@ -414,18 +415,6 @@ def ideal_distribution(circuit: Circuit) -> ProbDist:
     return ProbDist(len(measured), view.reshape(1 << len(measured), -1).sum(axis=1))
 
 
-def _extract_measured_indices(samples: np.ndarray, measured: tuple[int, ...], n: int) -> np.ndarray:
-    """Outcome indices over the `measured` qubits of `n` (all of them when empty)."""
-    if not measured:
-        return samples
-    out = np.zeros_like(samples)
-    k = len(measured)
-    for pos, q in enumerate(measured):
-        bit = (samples >> (n - 1 - q)) & 1
-        out |= bit << (k - 1 - pos)
-    return out
-
-
 def _sample_rows(probs: np.ndarray, history: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One outcome index per shot: the first index whose normalized cumulative
     sum of the shot's row `probs[history[shot]]` reaches the shot's uniform draw.
@@ -466,32 +455,31 @@ def _chunks(gate_hits: np.ndarray, shots: int, budget: int) -> list[tuple[int, i
 def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None,
                  offsets: np.ndarray | None, readout: tuple[int, ...],
                  rng: np.random.Generator) -> np.ndarray:
-    """One outcome index per shot of `plan`'s trajectories, after readout flips on `readout`.
+    """The measured bits of `plan`'s trajectories: a (shots, len(readout))
+    uint8 array, column c the bit of qubit `readout[c]`, readout flips applied.
 
-    The call's error table is drawn first, for every shot: the plan's sites
-    in order, then the bits of `readout` whose readout can flip. The shots
-    then run in chunks whose history rows fit `_CHUNK_AMPS` amplitudes, a
-    bound the table gives up front: a chunk holds at most one row per shot,
-    and at most one more row than its gate hits (`_chunks`). So a call
-    whose sites never fire, the noiseless one included, runs in one chunk.
-    Each chunk picks its outcomes with one `rng.random(size)`, so the
-    chunking does not change a bit.
+    The call's error table is drawn first, for every shot, by
+    `qbench.noise.draw_call`: the plan's sites in order, then the bits of
+    `readout` whose readout can flip. The shots then run in chunks whose
+    history rows fit `_CHUNK_AMPS` amplitudes, a bound the table gives up
+    front: a chunk holds at most one row per shot, and at most one more row
+    than its gate hits (`_chunks`). So a call whose sites never fire, the
+    noiseless one included, runs in one chunk. Each chunk picks its outcomes
+    with one `rng.random(size)`, so the chunking does not change a bit.
     """
     sites = [s for _, _, op_sites in plan for s in op_sites]
-    flips = readout_sites(noise, readout, offsets)
-    site, shot, label = draw_errors(sites, flips, offsets, shots, rng)
-    picks = []
-    for start, stop in _chunks(shot[site < len(sites)], shots, max(1, _CHUNK_AMPS >> n_qubits)):
+    (site, shot, label), flips = draw_call(sites, noise, readout, offsets, shots, rng)
+    shifts = [n_qubits - 1 - q for q in readout]
+    bits = np.empty((shots, len(readout)), dtype=np.uint8)
+    for start, stop in _chunks(shot, shots, max(1, _CHUNK_AMPS >> n_qubits)):
         inside = (shot >= start) & (shot < stop)
         rows, history = _evolve(plan, stop - start, n_qubits,
                                 (site[inside], shot[inside] - start, label[inside]))
-        picks.append(_sample_rows(np.abs(rows.reshape(len(rows), -1)) ** 2, history, rng))
-    pick = np.concatenate(picks)
-    flipped = site >= len(sites)
-    if flipped.any():
-        qubit = np.array([q for q, _ in flips])[site[flipped] - len(sites)]
-        np.bitwise_xor.at(pick, shot[flipped], np.left_shift(1, n_qubits - 1 - qubit))
-    return pick
+        pick = _sample_rows(np.abs(rows.reshape(len(rows), -1)) ** 2, history, rng)
+        for column, shift in enumerate(shifts):
+            bits[start:stop, column] = (pick >> shift) & 1
+    bits[flips] ^= 1
+    return bits
 
 
 def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
@@ -504,10 +492,10 @@ def sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | None,
     _check_cap(circuit.n_qubits)
     if shots <= 0:
         raise ValidationError("shots must be positive")
+    if not circuit.n_qubits:
+        raise ValidationError("a circuit with no qubits has no outcome bits to sample")
     n = circuit.n_qubits
-    measured = circuit.measured_qubits()
     offsets = noise.shot_offsets(shots) if noise is not None else None
-    picks = _sample_plan(_plan(circuit, noise, offsets), n, shots, noise, offsets,
-                         measured or tuple(range(n)), rng)
-    return SampleSet.from_indices(_extract_measured_indices(picks, measured, n),
-                                  len(measured) if measured else n)
+    bits = _sample_plan(_plan(circuit, noise, offsets), n, shots, noise, offsets,
+                        circuit.measured_qubits() or tuple(range(n)), rng)
+    return SampleSet.from_rows(bits)

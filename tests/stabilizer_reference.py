@@ -19,7 +19,7 @@ from qbench.cliffords import _GENERATORS
 from qbench.distributions import SampleSet
 from qbench.errors import ValidationError
 from qbench.noise import PAULI_LABELS, NoiseModel, can_fire, draw_errors, gate_sites
-from qbench.stabilizer import StabilizerTableau, _sample_set, evolve_tableau
+from qbench.stabilizer import StabilizerTableau, evolve_tableau
 
 
 def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
@@ -67,7 +67,7 @@ def reference_sample(circuit: Circuit, shots: int, rng: np.random.Generator,
         bits[shot] = c0 ^ ((picks[shot] @ basis) & 1)
     for shot, q in flips:
         bits[shot, q] ^= 1
-    return _sample_set(bits, measured)
+    return SampleSet.from_rows(bits[:, list(measured)])
 
 
 def reference_clifford_elements(n: int) -> list[tuple[tuple[Gate, ...], bytes]]:

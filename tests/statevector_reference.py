@@ -24,7 +24,6 @@ from qbench.cliffords import clifford_group
 from qbench.distributions import SampleSet
 from qbench.noise import PAULI_LABELS, NoiseModel, can_fire, draw_errors, gate_sites
 from qbench.rng import SeedStream
-from qbench.statevector import _extract_measured_indices
 
 
 def apply_unitary_batch(amps: np.ndarray, unitary: np.ndarray, targets: tuple[int, ...],
@@ -137,8 +136,8 @@ def reference_sample_counts(circuit: Circuit, shots: int, noise: NoiseModel | No
         if can_fire(noise.readout_for(q), offsets)]
     steps = [lambda a, g=gate: _apply_gate(a, g, n) for gate in gates]
     samples = _sample_with_table(steps, sites_per_gate, readout, offsets, shots, n, rng)
-    return SampleSet.from_indices(_extract_measured_indices(samples, measured, n),
-                                  len(measured) if measured else n)
+    shifts = n - 1 - np.array(measured or range(n))
+    return SampleSet.from_rows(((samples[:, None] >> shifts) & 1).astype(np.uint8))
 
 
 def reference_rb_survivals(noise: NoiseModel | None, n_qubits: int, lengths: list[int],

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbench
 from qbench.circuits import CX, Circuit, GateKind, measure_all
 from qbench.device import DeviceModel
 from qbench.distributions import ProbDist, SampleSet
@@ -54,6 +59,20 @@ class TestHog:
     def test_width_mismatch(self):
         with pytest.raises(ValidationError):
             hog_probability(ProbDist.uniform(1), ProbDist.uniform(2))
+
+    def test_distribution_input_ignores_the_hash_seed(self):
+        # The heavy mass is summed in index order, so string hashing cannot
+        # reorder the sum and move its last digits.
+        code = ("from qbench.metrics import hog_probability; from qbench.randgen import "
+                "qv_model_circuit; from qbench.rng import SeedStream; from qbench.statevector "
+                "import ideal_distribution; p = ideal_distribution(qv_model_circuit(8, "
+                "SeedStream(3))); print(repr(hog_probability(p, p)))")
+        src = str(Path(qbench.__file__).resolve().parents[1])
+        outputs = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  check=True, env={**os.environ, "PYTHONPATH": src,
+                                                   "PYTHONHASHSEED": seed}).stdout
+                   for seed in ("1", "2", "3")}
+        assert len(outputs) == 1
 
     def test_ideal_dominates_uniform(self):
         for k in range(10):

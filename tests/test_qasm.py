@@ -187,6 +187,22 @@ def test_operand_errors_name_the_operand(program, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("program, message", [
+    ("qreg q[2];\nbarrier q[0], q[0];", "line 3, col 1: barrier targets must be distinct: (0, 0)"),
+    ("qreg q[1];\nrx(1e400) q[0];", "line 3, col 1: rx needs a finite angle"),
+    ("qreg q[1]; creg c[2];\nmeasure q[0] -> c[0];\nmeasure q[0] -> c[1];",
+     "line 4, col 1: measure on q[0] follows its measurement"),
+    ("qreg q[2]; creg c[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[0];",
+     "line 4, col 1: measure writes c[0] twice"),
+    ("qreg q[0];\nbarrier q;", "line 3, col 1: barrier needs at least one target"),
+], ids=["repeated-barrier-target", "infinite-angle", "second-measure", "second-write",
+        "empty-register-barrier"])
+def test_gate_checks_fail_at_their_statement(program, message):
+    with pytest.raises(QasmError) as err:
+        parse_qasm(HEADER + program)
+    assert str(err.value) == message
+
+
 def test_measures_of_idle_qubits_still_end_the_circuit():
     c = parse_qasm(HEADER + "qreg q[2]; creg c[2];\nmeasure q[0] -> c[0];\nh q[1];\nmeasure q[1] -> c[1];")
     assert c == Circuit(2, ((H(1),), (Measure(0, 0), Measure(1, 1))))

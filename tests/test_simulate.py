@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from statevector_reference import (
     reference_sequence_unitary,
 )
 
-from qbench import stabilizer, statevector
+from qbench import statevector
 from qbench.circuits import (
     CX, CZ, SWAP, TWO_QUBIT_KINDS, U2Q, Barrier, Circuit, GateKind, H, Measure, PauliLayer, Rx, Ry, Rz, S, Sdg, T,
     Tdg, X, Y, Z, gate_unitary, inverse_circuit, inverse_gate, measure_all, pauli_matrix,
@@ -139,6 +140,10 @@ class TestSampling:
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
             sample_counts(Circuit(1, ((H(0),),)), 0, None, SeedStream(1).generator())
+
+    def test_zero_qubits_rejected(self):
+        with pytest.raises(ValidationError, match="no qubits"):
+            sample_counts(Circuit(0, ()), 5, None, SeedStream(1).generator())
 
     def test_readout_only_noise_flips_bits(self):
         c = measure_all(Circuit(1, ()))
@@ -883,7 +888,7 @@ class TestErrorTable:
             return tables[-1][1]
 
         monkeypatch.setattr(statevector, "_evolve", counting)
-        monkeypatch.setattr(statevector, "draw_errors", recording)
+        monkeypatch.setattr("qbench.noise.draw_errors", recording)
         reference = reference_sample_counts(c, 400, noise, SeedStream(92).generator())
         for rows in (1, 2, 3, 1 << 16):
             calls.clear()
@@ -945,8 +950,7 @@ class TestErrorTable:
             tables.append((args[:2], draw_errors(*args)))
             return tables[-1][1]
 
-        monkeypatch.setattr(statevector, "draw_errors", recording)
-        monkeypatch.setattr(stabilizer, "draw_errors", recording)
+        monkeypatch.setattr("qbench.noise.draw_errors", recording)
         sv = sample_counts(c, shots, noise, SeedStream(90, (k,)).generator())
         st = stabilizer_sample(c, shots, SeedStream(90, (k,)).generator(), noise=noise)
         (sv_sites, sv_table), (st_sites, st_table) = tables
@@ -954,21 +958,26 @@ class TestErrorTable:
         assert all(np.array_equal(a, b) for a, b in zip(sv_table, st_table))
         assert np.count_nonzero(sv_table[0] >= len(sv_sites[0])) > 0  # some readout flips
         assert len(sv.counts) > 1
+        np.testing.assert_array_equal(sv.keys, st.keys)
+        np.testing.assert_array_equal(sv.freq, st.freq)
         assert sv == st
 
 
 class TestDistributions:
-    @pytest.mark.parametrize("n_bits", [1, 14, 40, 62])
-    def test_from_indices_keys_match_formatting(self, n_bits):
-        rng = SeedStream(94, (n_bits,)).generator()
-        indices = rng.integers(0, 1 << n_bits, size=600, dtype=np.int64)
-        indices[:2] = 0, (1 << n_bits) - 1
-        indices[100:200] = indices[:100]
-        values, freq = np.unique(indices, return_counts=True)
-        samples = SampleSet.from_indices(indices, n_bits)
-        assert dict(samples.counts) == {index_to_bits(int(v), n_bits): int(c)
-                                        for v, c in zip(values, freq)}
+    @pytest.mark.parametrize("n_bits", [1, 14, 40, 62, 70])
+    def test_from_rows_keys_match_formatting(self, n_bits):
+        # Row bit j is the outcome's bit j, most significant first; a row's
+        # key is the formatting of that index, at any width.
+        rows = SeedStream(94, (n_bits,)).generator().integers(0, 2, (600, n_bits), dtype=np.uint8)
+        rows[0], rows[1] = 0, 1
+        rows[100:200] = rows[:100]
+        values = [sum(int(b) << (n_bits - 1 - j) for j, b in enumerate(row)) for row in rows]
+        expected = Counter(index_to_bits(v, n_bits) for v in values)
+        samples = SampleSet.from_rows(rows)
+        assert samples.counts == expected and list(samples.counts) == sorted(expected)
         assert all(type(bits) is str for bits in samples.counts) and samples.shots == 600
+        if n_bits <= 62:
+            np.testing.assert_array_equal(samples.indices(), sorted(set(values)))
 
     @pytest.mark.parametrize("make, message", [
         (lambda: SampleSet(2, {"01": 1, "1": 2}), "bad bitstring key '1' for 2 bits"),
@@ -978,13 +987,25 @@ class TestDistributions:
         (lambda: SampleSet(1, {"1": 2, "0": -2, "x": 1}), "counts must be positive"),
         (lambda: SampleSet(1, {"x": 1, "0": -2}), "bad bitstring key 'x' for 1 bits"),
         (lambda: SampleSet(1, {"0": 3}, shots=5), "counts sum to 3, declared shots 5"),
-        (lambda: SampleSet.from_indices(np.array([1, 5]), 2), "bad bitstring key '101' for 2 bits"),
-        (lambda: SampleSet.from_indices(np.array([-1]), 2), "bad bitstring key '-1' for 2 bits"),
         (lambda: SampleSet.from_json({"10": 1, "1": 1}), "bad bitstring key '1' for 2 bits"),
     ])
     def test_validation_names_the_first_bad_entry(self, make, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             make()
+
+    def test_wide_tableau_set_lives_on_arrays(self):
+        # 70 noisy bits: past int64 indices, but counts, JSON and equality
+        # read the fixed-width byte keys.
+        c = measure_all(random_clifford_circuit(70, 6, SeedStream(97)))
+        noise = NoiseModel.uniform(p1=0.01, p2=0.02, readout=0.01)
+        samples = stabilizer_sample(c, 50, SeedStream(98).generator(), noise=noise)
+        assert samples.n_bits == 70 and samples.keys.dtype == np.dtype("S70")
+        assert sum(samples.counts.values()) == 50 and len(samples.counts) == len(samples.freq) > 1
+        assert SampleSet.from_json(samples.to_json()) == samples
+        assert samples == stabilizer_sample(c, 50, SeedStream(98).generator(), noise=noise)
+        assert samples != stabilizer_sample(c, 50, SeedStream(99).generator(), noise=noise)
+        with pytest.raises(ValidationError, match="70-bit outcomes"):
+            samples.indices()
 
     def test_probdist_must_normalize(self):
         with pytest.raises(ValidationError):
@@ -1004,5 +1025,8 @@ class TestDistributions:
     def test_json_roundtrip(self):
         s = SampleSet(2, {"01": 3, "11": 2})
         assert SampleSet.from_json(s.to_json()) == s
+        sampled = sample_counts(measure_all(layered_model_circuit(5, 3, SeedStream(95))), 300,
+                                NoiseModel.uniform(p2=0.05, readout=0.02), SeedStream(96).generator())
+        assert len(sampled.freq) > 1 and SampleSet.from_json(sampled.to_json()) == sampled
         p = ProbDist(2, np.array([0.25, 0.25, 0.25, 0.25]))
         assert ProbDist.from_json(p.to_json()).probs == pytest.approx(p.probs)
