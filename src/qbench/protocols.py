@@ -386,7 +386,7 @@ def run_rb(device: DeviceModel, noise: NoiseModel | None, n_qubits: int,
     noise = noise if noise is not None else NoiseModel()
     rate = noise.element_error(n_qubits)
     offsets = noise.shot_offsets(shots)
-    sites = [(qubits, rate)] if can_fire(rate, offsets) else []
+    sites = [(qubits, rate, None)] if can_fire(rate, offsets) else []
 
     survivals: list[list[float]] = []
     for li, m in enumerate(lengths):

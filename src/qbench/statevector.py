@@ -5,24 +5,28 @@ Shots are simulated as a batch of error histories: the state is a (rows,) +
 and a (shots,) index gives each shot's row.
 
 Every sampler runs one trajectory engine. A circuit compiles once per call
-into an execution plan, a list of (targets, fused unitary, sites), where the
-sites are the (qubits, rate) pairs of `qbench.noise.firing_sites`, those that
-can fire for some shot of the call; randomized benchmarking builds its plan
-directly, one op per Clifford element with one site at the element rate. A
-call first draws its whole error table with `qbench.noise.draw_call`: the
-plan's sites in order, then its readout bits. Then it picks outcomes, one
-`rng.random` per shot, and nothing else is drawn, so how the shots are
-chunked to bound memory changes no bit. The engine applies each op to every
-row with one kernel (`np.tensordot` of the unitary with the target axes,
-then `np.moveaxis` to put them back) and then reads each of its sites' hits
-from the table. The hit shots of a site are grouped by (row, label): each
-group gets one new row, its parent with the Pauli applied, and rows that no
-shot points to any more are dropped. So shots whose errors agree so far
-share one row, and the work follows the distinct histories, not the shots.
-The shots run in chunks whose history rows fit `_CHUNK_AMPS` amplitudes,
-bounded up front from the table: at most one row per shot and one more
-than the chunk's gate hits. A plan with no sites, the noiseless one
-included, is the one-history case: one row for every shot, in one chunk.
+into an execution plan, a list of (targets, fused unitary, sites). Each site
+is (qubits, rate, frame): the (qubits, rate) pairs are those of
+`qbench.noise.firing_sites`, the sites that can fire for some shot of the
+call, and the frame is None or the unitary its Pauli is carried through (see
+below). Randomized benchmarking builds its plan directly, one op per Clifford
+element with one frameless site at the element rate. A call first draws its
+whole error table with `qbench.noise.draw_call`: the plan's sites in order,
+then its readout bits. Then it picks outcomes, one `rng.random` per shot, and
+nothing else is drawn, so how the shots are chunked to bound memory changes
+no bit. The engine applies each op to every row with one kernel (one flat
+`rows @ U.T` when the op spans every qubit in order, else `np.tensordot` of
+the unitary with the target axes, then `np.moveaxis` to put them back), and
+then reads each of its sites' hits from the table. The hit shots of a site
+are grouped by (row, label): each group gets one new row, its parent with
+the Pauli applied, written once into a buffer that the op's hits size. Then
+rows that no shot points to any more are dropped, once per op. So shots
+whose errors agree so far share one row, and the work follows the distinct
+histories, not the shots. The shots run in chunks whose history rows fit
+`_CHUNK_AMPS` amplitudes, bounded up front from the table: at most one row
+per shot and one more than the chunk's gate hits. A plan with no sites, the
+noiseless one included, is the one-history case: one row for every shot, in
+one chunk.
 
 Every shot's outcome follows one rule: the first index whose normalized
 cumulative sum reaches the shot's uniform draw (`_sample_rows`), found for
@@ -34,17 +38,30 @@ The shot's row of measured bits is read from its pick, readout flips XORed in.
 Fusion follows qsim (Isakov et al., arXiv:2111.02396) but tracks the last op
 on each qubit, because lowered gates are interleaved layer by layer: a 1q
 gate folds into the next op on its qubit, and successive 2q gates on one pair
-merge into one op. The matrices of these ops are built in stacks. Then, as
-in qsim's max-fused-size rule, site-free ops merge into blocks of up to K
-qubits, K = n for n <= 5 and 4 above that: a block takes in an op only while
-it is the last op on every one of its qubits, so at n <= 5 a noiseless
-circuit is one op, one GEMM per application. An op with sites closes:
-nothing fuses across it, and it joins no block. On every qubit, unitaries
-and injections keep their circuit order.
+merge into one op. The matrices of these ops are built in stacks. A gate
+whose site can fire closes its op, so every site sits between two ops.
+
+Up to 5 qubits (`_FULL_WIDTH`) the plan is then one op on every qubit,
+noisy or not, and each site carries a frame. As with Stim's Pauli frames
+(Gidney, Quantum 5, 497 (2021)), an error is carried past the later gates
+instead of ending fusion there: with W the product of the ops before a
+site, V the product of those after it and U = V W the op's unitary, an
+error P gives V P W = (V P V†) U. So the engine applies U to the |0...0>
+row once, and each hit group's new row is V P V† times its parent: two
+small products and one Pauli gather, on the hit rows only. No row is evolved
+or compacted twice.
+
+Above 5 qubits, as in qsim's max-fused-size rule, site-free ops merge into
+blocks of up to 4 qubits (`_BLOCK_QUBITS`): a block takes in an op only
+while it is the last op on every one of its qubits. There fusion never
+crosses a gate whose site can fire: an op with sites joins no block, its
+sites carry no frame, and its hits are applied right after it. On every
+qubit, unitaries and injections keep their circuit order.
 
 A drawn Pauli makes its group's row by index arithmetic, not matrix
 products: X and Y XOR the amplitude index with their bits, and Z and Y
-multiply by a sign.
+multiply by a sign. Up to 5 qubits that gather is built once per (n, site
+qubits), for every label, on first use.
 """
 from __future__ import annotations
 
@@ -109,9 +126,12 @@ def zero_state(batch: int, n_qubits: int) -> np.ndarray:
 def apply_unitary(state: np.ndarray, unitary: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
     """Apply a k-qubit unitary to `targets` of every row of a (batch,) + (2,)*n tensor.
 
-    targets[0] is the most significant bit of the unitary's index space.
+    targets[0] is the most significant bit of the unitary's index space. On
+    every qubit in order it is one flat product, `rows @ unitary.T`.
     """
     k = len(targets)
+    if k == state.ndim - 1 and targets == tuple(range(k)):
+        return (state.reshape(len(state), -1) @ unitary.T).reshape(state.shape)
     axes = [1 + t for t in targets]
     out = np.tensordot(state, unitary.reshape((2,) * (2 * k)), axes=(axes, list(range(k, 2 * k))))
     return np.moveaxis(out, range(-k, 0), axes)
@@ -120,31 +140,53 @@ def apply_unitary(state: np.ndarray, unitary: np.ndarray, targets: tuple[int, ..
 #: (-i)^k, the phase of a drawn Pauli with k Y letters (Y = -i ZX)
 _Y_PHASE = np.array([(-1j) ** k for k in range(3)])
 
+#: Ops span every qubit up to _FULL_WIDTH qubits; above that, blocks have at most _BLOCK_QUBITS
+_FULL_WIDTH = 5
+_BLOCK_QUBITS = 4
 
-def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], choices: np.ndarray) -> np.ndarray:
-    """Row i of `state` with the Pauli `PAULI_LABELS[len(qubits)][choices[i]]` applied.
+#: `_pauli_gather` of every label, per (n, qubits) with n <= _FULL_WIDTH, built on first use
+_PAULI_GATHERS: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
 
-    `state` is a (len(choices),) + (2,)*n tensor. One gather serves every
-    row: X and Y XOR the row's amplitude index with its mask, then Z and Y
-    flip the sign of each output amplitude whose bit on the letter's qubit is 1.
-    """
-    n = state.ndim - 1
+
+def _pauli_gather(n: int, qubits: tuple[int, ...], choices: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(index, phase), each (len(choices), 2^n): output amplitude i of a row
+    with Pauli choice c applied is its amplitude index[c, i] times phase[c, i].
+    X and Y XOR the index with their bits; Z and Y flip the sign of each output
+    amplitude whose bit on the letter's qubit is 1."""
     x, z = (bits[choices].astype(np.int64) for bits in PAULI_BITS[len(qubits)])
     shifts = [n - 1 - q for q in qubits]
     index = np.arange(1 << n)
     flip = sum(x[:, j] << s for j, s in enumerate(shifts))
     parity = sum(z[:, j, None] * ((index >> s) & 1) for j, s in enumerate(shifts))
-    phase = (1 - 2 * (parity & 1)) * _Y_PHASE[(x & z).sum(axis=1)][:, None]
-    flat = state.reshape(len(choices), -1)
-    gathered = np.take_along_axis(flat, index ^ flip[:, None], axis=1)
-    return (gathered * phase).reshape(state.shape)
+    return index ^ flip[:, None], (1 - 2 * (parity & 1)) * _Y_PHASE[(x & z).sum(axis=1)][:, None]
+
+
+def _pauli_rows(flat: np.ndarray, qubits: tuple[int, ...], choices: np.ndarray) -> np.ndarray:
+    """Row i of the (rows, 2^n) array `flat` with Pauli `choices[i]` of the
+    site on `qubits` applied, by one gather. Up to `_FULL_WIDTH` qubits the
+    gather of every label is built once per (n, qubits) and indexed."""
+    n = flat.shape[1].bit_length() - 1
+    if n > _FULL_WIDTH:
+        index, phase = _pauli_gather(n, qubits, choices)
+    else:
+        table = _PAULI_GATHERS.get((n, qubits))
+        if table is None:
+            labels = np.arange(len(PAULI_BITS[len(qubits)][0]))
+            table = _PAULI_GATHERS[n, qubits] = _pauli_gather(n, qubits, labels)
+        index, phase = table[0][choices], table[1][choices]
+    return flat.take((np.arange(len(flat)) << n)[:, None] + index) * phase
+
+
+def apply_paulis(state: np.ndarray, qubits: tuple[int, ...], choices: np.ndarray) -> np.ndarray:
+    """Row i of `state` with the Pauli `PAULI_LABELS[len(qubits)][choices[i]]` applied.
+
+    `state` is a (len(choices),) + (2,)*n tensor; one gather serves every row.
+    """
+    return _pauli_rows(state.reshape(len(choices), -1), qubits, choices).reshape(state.shape)
 
 
 _I2 = np.eye(2, dtype=complex)
-
-#: Fused ops span every qubit up to _FULL_WIDTH qubits, else at most _BLOCK_QUBITS
-_FULL_WIDTH = 5
-_BLOCK_QUBITS = 4
 
 #: `_plan`'s code of each 1q kind: the fixed kinds index their table, then RX, RY, RZ
 _FIXED_KINDS = (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
@@ -155,7 +197,12 @@ _LETTER_CODE = {letter: _ONE_CODE[GateKind[letter]] for letter in "XYZ"}
 _TWO_CODE = {GateKind.CX: 0, GateKind.CZ: 1, GateKind.SWAP: 2, GateKind.U2Q: 3}
 _PAULI = GateKind.PAULI
 
-_PlanOp = tuple[tuple[int, ...], np.ndarray, list[tuple[tuple[int, ...], float]]]
+#: 2q factors `_plan` multiplies per stacked product, which bounds its temporaries
+_FACTOR_BATCH = 64
+
+#: a plan's site: (qubits, rate, frame), the frame None or a unitary (see `_full_width`)
+_Site = tuple[tuple[int, ...], float, np.ndarray | None]
+_PlanOp = tuple[tuple[int, ...], np.ndarray, list[_Site]]
 
 
 def _fold(mats: np.ndarray, chains: list[list[int]]) -> np.ndarray:
@@ -200,12 +247,14 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
     nothing merges into an op that carries sites. The gate loop only records
     which factor goes into which op; the matrices are built in stacks.
 
-    Then site-free base ops merge into blocks of at most `_BLOCK_QUBITS`
-    qubits (of every qubit, up to `_FULL_WIDTH` qubits). A block takes in an
+    Up to `_FULL_WIDTH` qubits the base ops become one op on every qubit,
+    whose sites carry frames (`_full_width`). Above that, site-free base ops
+    merge into blocks of at most `_BLOCK_QUBITS` qubits. A block takes in an
     op only while it is the last op on every one of its qubits, so it moves
     past nothing that touches them; it runs where its last op was. An op
-    with sites stays alone, so the plan's sites, read in order, are the
-    call's site list of `qbench.noise.draw_call`.
+    with sites stays alone, and its sites carry no frame. Either way the
+    plan's sites, read in order, are the call's site list of
+    `qbench.noise.draw_call`.
     """
     codes: list[int] = []  # one per 1q factor
     angles: list[float] = []
@@ -281,20 +330,24 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
         rotation = codes == _ONE_CODE[kind]
         one[rotation] = rotation_unitary(axis, angles[rotation])
     one = np.concatenate((_fold(one, runs), _I2[None]))
-    two = np.zeros((0, 4, 4), dtype=complex)
+    two = np.empty((len(factors), 4, 4), dtype=complex)
     if factors:
         gate_code, run_a, run_b, flip = (np.array(column) for column in zip(*factors))
         table = np.array([_FIXED_2Q[kind] for kind in (GateKind.CX, GateKind.CZ, GateKind.SWAP)]
                          + matrices)
-        two = table[gate_code] @ _kron(one[run_a], one[run_b])
+        for start in range(0, len(factors), _FACTOR_BATCH):
+            part = slice(start, start + _FACTOR_BATCH)
+            np.matmul(table[gate_code[part]], _kron(one[run_a[part]], one[run_b[part]]),
+                      out=two[part])
         two[flip] = _swap_pair(two[flip])
         two = _fold(two, chains)
     unitaries = [(two if len(targets) == 2 else one)[index] for targets, _, index in base]
+    if circuit.n_qubits <= _FULL_WIDTH:
+        return _full_width(base, unitaries, circuit.n_qubits)
 
     # Blocks of base ops, (qubits, members), in the order of their last members:
     # a merge makes a new block at the end. `opened` maps each block that
     # carries no sites and is still the last op on all its qubits to them.
-    width = circuit.n_qubits if circuit.n_qubits <= _FULL_WIDTH else _BLOCK_QUBITS
     blocks: list[tuple[frozenset, list[int]] | None] = []
     opened: dict[int, frozenset] = {}
     owner: dict[int, int] = {}
@@ -315,7 +368,7 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
             candidates = [max(opened)]
         join = []
         for b in candidates:
-            if len(qubits | opened[b]) <= width:
+            if len(qubits | opened[b]) <= _BLOCK_QUBITS:
                 join.append(b)
                 qubits |= opened[b]
         members = [m for b in sorted(join) for m in blocks[b][1]] + [i]
@@ -355,8 +408,36 @@ def _plan(circuit: Circuit, noise: NoiseModel | None, offsets: np.ndarray | None
             plan.append((tuple(sorted(qubits)), fused[j], []))
         else:
             (i,) = members
-            plan.append((base[i][0], unitaries[i], base[i][1]))
+            plan.append((base[i][0], unitaries[i], [(q, rate, None) for q, rate in base[i][1]]))
     return plan
+
+
+def _full_width(base: list[tuple], unitaries: list[np.ndarray], n: int) -> list[_PlanOp]:
+    """The base ops as one op on all n qubits: their product, with every
+    site's frame V the product of the ops after it (None after the last).
+
+    With W the product of the ops up to a site and P its Pauli, V P W =
+    (V P V†)(V W), and V W is the op's unitary: `_evolve` applies it to
+    every row once, and V P V† only to the site's hit rows. The ops are
+    embedded at full width in one stack per arity, and one product chain
+    walks them backwards; each frame is the chain's running product.
+    """
+    if not base:
+        return []
+    embedded = [None] * len(base)
+    for arity in (1, 2):
+        members = [i for i, (targets, _, _) in enumerate(base) if len(targets) == arity]
+        if members:
+            stack = _embed(np.array([unitaries[i] for i in members]),
+                           np.array([base[i][0] for i in members]), n)
+            for i, op in zip(members, stack):
+                embedded[i] = op
+    sites: list[_Site] = []  # last site first
+    product = None
+    for (_, op_sites, _), op in zip(reversed(base), reversed(embedded)):
+        sites += [(qubits, rate, product) for qubits, rate in reversed(op_sites)]
+        product = op.copy() if product is None else product @ op
+    return [(tuple(range(n)), product, sites[::-1])]
 
 
 def _evolve(plan: list, batch: int, n_qubits: int,
@@ -369,7 +450,10 @@ def _evolve(plan: list, batch: int, n_qubits: int,
     i's state is `rows[history[i]]`. Every shot starts on one |0...0> row.
     Each op's unitary acts on every row, then each of its sites' hits are
     grouped by (row, label): each group gets one new row, its parent with
-    that Pauli applied, and rows that no shot points to any more are dropped.
+    that Pauli applied, conjugated by the site's frame V when it has one
+    (V P V†, see `_full_width`). An op's new rows are written once, after
+    its rows, into a buffer sized by its hits; then rows that no shot points
+    to any more are dropped.
     """
     rows = zero_state(1, n_qubits)
     history = np.zeros(batch, dtype=np.intp)
@@ -378,7 +462,14 @@ def _evolve(plan: list, batch: int, n_qubits: int,
     j = 0  # the plan's running site number
     for targets, unitary, sites in plan:
         rows = apply_unitary(rows, unitary, targets)
-        for qubits, _ in sites:
+        hits = bounds[j + len(sites)] - bounds[j]
+        if not hits:
+            j += len(sites)
+            continue
+        count = len(rows)
+        buffer = np.empty((count + hits, 1 << n_qubits), dtype=complex)
+        buffer[:count] = rows.reshape(count, -1)
+        for qubits, _, frame in sites:
             lo, hi = bounds[j], bounds[j + 1]
             j += 1
             if lo == hi:
@@ -386,11 +477,20 @@ def _evolve(plan: list, batch: int, n_qubits: int,
             hit = shot[lo:hi]
             key = 4 ** len(qubits)  # above every label index of the site
             groups, group = np.unique(history[hit] * key + label[lo:hi], return_inverse=True)
-            new = apply_paulis(rows[groups // key], qubits, groups % key)
-            history[hit] = len(rows) + group
-            live = np.bincount(history, minlength=len(rows) + len(new)) > 0
-            rows = np.concatenate((rows[live[:len(rows)]], new))
+            new = buffer[groups // key]
+            if frame is not None:
+                new = _pauli_rows(new @ frame.conj(), qubits, groups % key) @ frame.T
+            else:
+                new = _pauli_rows(new, qubits, groups % key)
+            buffer[count:count + len(new)] = new
+            history[hit] = count + group
+            count += len(new)
+        live = np.bincount(history, minlength=count) > 0
+        rows = buffer[:count]
+        if not live.all():
+            rows = rows[live]
             history = (np.cumsum(live) - 1)[history]
+        rows = rows.reshape((len(rows),) + (2,) * n_qubits)
     return rows, history
 
 
@@ -467,7 +567,7 @@ def _sample_plan(plan: list, n_qubits: int, shots: int, noise: NoiseModel | None
     noiseless one included, runs in one chunk. Each chunk picks its outcomes
     with one `rng.random(size)`, so the chunking does not change a bit.
     """
-    sites = [s for _, _, op_sites in plan for s in op_sites]
+    sites = [(qubits, rate) for _, _, op_sites in plan for qubits, rate, _ in op_sites]
     (site, shot, label), flips = draw_call(sites, noise, readout, offsets, shots, rng)
     shifts = [n_qubits - 1 - q for q in readout]
     bits = np.empty((shots, len(readout)), dtype=np.uint8)

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,9 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from statevector_reference import apply_unitary_batch
 
 import qbench
-from qbench.circuits import CX, Circuit, GateKind, measure_all
+from qbench.circuits import (
+    CX, CZ, SWAP, U2Q, Barrier, Circuit, GateKind, H, PauliLayer, Rx, Ry, Rz, S, Sdg, T, Tdg, X, Y,
+    Z, gate_unitary, measure_all, pauli_matrix,
+)
 from qbench.device import DeviceModel
 from qbench.distributions import ProbDist, SampleSet
 from qbench.errors import DegenerateInputError, ValidationError
@@ -19,8 +24,8 @@ from qbench.metrics import (
     heavy_set, hellinger_distance, hog_probability, l1_distance, shots_for_precision,
     static_device_metrics, xeb_alpha,
 )
-from qbench.noise import NoiseModel
-from qbench.randgen import layered_model_circuit
+from qbench.noise import PAULI_LABELS, NoiseModel, gate_sites
+from qbench.randgen import haar_unitary, layered_model_circuit
 from qbench.rng import SeedStream
 from qbench.statevector import ideal_distribution, sample_counts
 
@@ -259,6 +264,72 @@ class TestEplg:
         measured = eplg(lf_measured, 1)
         expected = eplg(lf_oracle, 1)
         assert abs(measured - expected) <= 0.3 * expected
+
+
+def _every_kind_circuit(n: int, rng: np.random.Generator) -> Circuit:
+    """Two rounds of every gate kind on random targets of n qubits, shuffled, all measured."""
+    gates = []
+    for _ in range(2):
+        def on(k):
+            return [int(t) for t in rng.choice(n, k, replace=False)]
+        kinds = [make(*on(1)) for make in (H, X, Y, Z, S, Sdg, T, Tdg)]
+        kinds += [make(*on(1), float(rng.uniform(-math.pi, math.pi))) for make in (Rx, Ry, Rz)]
+        kinds += [make(*on(2)) for make in (CX, CZ, SWAP)]
+        kinds += [U2Q(*on(2), haar_unitary(4, rng)), PauliLayer(on(2), "XZ", -1), Barrier(*on(2))]
+        gates += [kinds[i] for i in rng.permutation(len(kinds))]
+    return measure_all(Circuit.from_gates(n, gates))
+
+
+def _channel_distribution(circuit: Circuit, noise: NoiseModel) -> np.ndarray:
+    """The exact output distribution of `circuit` under `noise` (no drift), on a
+    density matrix: each gate's unitary, then for each of its sites (qubits, p)
+    the depolarizing channel (1 - p) rho + p / L sum_P P rho P over the L
+    non-identity Paulis on the site's qubits; then each measured bit flips
+    with its readout rate. Every qubit is measured, qubit 0 the high bit."""
+    n = circuit.n_qubits
+
+    def on_all(unitary, targets):
+        return apply_unitary_batch(np.eye(1 << n, dtype=complex), unitary, targets, n).T
+
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in circuit.all_gates():
+        if gate.kind in (GateKind.MEASURE, GateKind.BARRIER):
+            continue
+        u = on_all(gate_unitary(gate), gate.targets)
+        rho = u @ rho @ u.conj().T
+        for qubits, p in gate_sites(noise, gate):
+            paulis = [on_all(np.array(functools.reduce(np.kron, map(pauli_matrix, label))), qubits)
+                      for label in PAULI_LABELS[len(qubits)]]
+            rho = (1 - p) * rho + p / len(paulis) * sum(P @ rho @ P.conj().T for P in paulis)
+    probs = rho.diagonal().real.copy()
+    index = np.arange(1 << n)
+    for q in range(n):
+        r = noise.readout_for(q)
+        probs = (1 - r) * probs + r * probs[index ^ (1 << (n - 1 - q))]
+    return probs
+
+
+class TestDensityMatrixOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sampled_distribution_matches_the_exact_channel(self, n):
+        # Every gate kind under 1q, 2q and readout noise, at widths where the
+        # statevector plan is one op whose sites carry frames: the sampled
+        # distribution is within a seeded total-variation bound of the exact
+        # channel. 20,000 shots over at most 16 outcomes put the expected
+        # distance near 0.01; the noise moves the exact distribution by far
+        # more than the bound, so a wrong channel cannot pass.
+        noise = NoiseModel.uniform(p1=0.02, p2=0.05, readout=0.02)
+        circuit = _every_kind_circuit(n, SeedStream(130, (n,)).generator())
+        exact = _channel_distribution(circuit, noise)
+        shots = 20_000
+        sampled = np.zeros(1 << n)
+        for key, count in sample_counts(circuit, shots, noise,
+                                        SeedStream(131, (n,)).generator()).counts.items():
+            sampled[int(key, 2)] = count / shots
+        ideal = ideal_distribution(circuit).probs
+        assert 0.5 * np.abs(exact - ideal).sum() > 0.05
+        assert 0.5 * np.abs(sampled - exact).sum() < 0.02
 
 
 class TestStaticMetrics:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from stabilizer_reference import reference_outcome_space, reference_sample
 from statevector_reference import (
-    _apply_paulis, apply_unitary_batch, reference_amplitudes, reference_sample_counts,
+    _apply_gate, _apply_paulis, apply_unitary_batch, reference_amplitudes, reference_sample_counts,
     reference_sequence_unitary,
 )
 
@@ -355,71 +355,103 @@ class TestExecutionPlan:
 
     @pytest.mark.parametrize("rate", [0.3, 1e-12], ids=["heavy", "never_hits"])
     def test_evolve_keeps_one_row_per_distinct_history(self, rate):
-        # Reading the table gives each shot its history, the (op, site, label)
-        # of every hit; shots share a row exactly when they share a history,
-        # and each row is the reference state of its history.
-        c = Circuit.from_gates(3, [H(0), CX(0, 1), Ry(2, 0.7), CZ(1, 2),
-                                   PauliLayer([0, 2], "XZ"), CX(2, 0), S(1)])
-        plan = _plan(c, NoiseModel.uniform(p1=rate, p2=rate), None)
+        # Reading the table gives each shot its history, the (site, label) of
+        # every hit; shots share a row exactly when they share a history, and
+        # each row is its history's state built from the circuit gate by gate,
+        # each hit injected right after its gate. On 3 qubits the plan is one
+        # op whose sites carry frames; on 6 it is the block path.
+        u2q = haar_unitary(4, np.random.default_rng(75))
+        gates = [H(0), X(1), Y(2), Z(0), S(1), Sdg(2), T(0), Tdg(1), Rx(2, 0.3), Ry(0, 0.7),
+                 Rz(1, -1.1), CX(0, 1), CZ(2, 1), SWAP(0, 2), U2Q(1, 0, u2q), Barrier(0, 1, 2),
+                 PauliLayer([0, 2], "XY", -1), CX(2, 0), S(1)]
+        wide = [CX(2, 3), H(4), U2Q(4, 5, u2q), CZ(5, 3), Ry(3, 0.4), SWAP(1, 4)]
+        noise = NoiseModel.uniform(p1=rate, p2=rate, drift=DriftSchedule((0.0, -rate / 2)))
         batch = 200
-        where = [(i, j) for i, (_, _, sites) in enumerate(plan) for j in range(len(sites))]
-        table = draw_errors([s for _, _, sites in plan for s in sites], [], None, batch,
-                            SeedStream(75).generator())
-        rows, history = statevector._evolve(plan, batch, 3, table)
-        histories = [()] * batch
-        for site, shot, label in zip(*(column.tolist() for column in table)):
-            histories[shot] += (where[site] + (label,),)
-        if rate > 0.1:
-            assert len(set(histories)) > 20
-        row_of = dict(zip(histories, history.tolist()))
-        assert len(rows) == len(row_of) == len(set(row_of.values()))
-        assert all(row_of[h] == r for h, r in zip(histories, history.tolist()))
-        if rate < 1e-6:
-            assert len(rows) == 1
-        for hist, r in row_of.items():
-            amps = np.zeros((1, 8), dtype=complex)
-            amps[0, 0] = 1.0
-            for i, (targets, unitary, sites) in enumerate(plan):
-                amps = apply_unitary_batch(amps, unitary, targets, 3)
-                for j, (qubits, _) in enumerate(sites):
-                    for choice in [ch for op, site, ch in hist if (op, site) == (i, j)]:
-                        amps = _apply_paulis(amps, qubits, np.array([0]), np.array([choice]), 3)
-            np.testing.assert_allclose(rows[r].reshape(-1), amps[0], atol=1e-12)
+        offsets = noise.shot_offsets(batch)
+        for n, c in ((3, Circuit.from_gates(3, gates)), (6, Circuit.from_gates(6, gates + wide))):
+            plan = _plan(c, noise, offsets)
+            assert (len(plan) == 1) == (n == 3)
+            circuit_gates = list(c.all_gates())
+            firing = firing_sites(noise, circuit_gates, offsets)
+            gate_of = [g for g, sites in enumerate(firing) for _ in sites]
+            sites = [s for sites in firing for s in sites]
+            table = draw_errors(sites, [], offsets, batch, SeedStream(75, (n,)).generator())
+            rows, history = statevector._evolve(plan, batch, n, table)
+            histories = [()] * batch
+            for site, shot, label in zip(*(column.tolist() for column in table)):
+                histories[shot] += ((site, label),)
+            if rate > 0.1:
+                assert len(set(histories)) > 20
+            row_of = dict(zip(histories, history.tolist()))
+            assert len(rows) == len(row_of) == len(set(row_of.values()))
+            assert all(row_of[h] == r for h, r in zip(histories, history.tolist()))
+            if rate < 1e-6:
+                assert len(rows) == 1
+            for hist, r in row_of.items():
+                amps = np.zeros((1, 1 << n), dtype=complex)
+                amps[0, 0] = 1.0
+                for g, gate in enumerate(circuit_gates):
+                    amps = _apply_gate(amps, gate, n)
+                    for site, label in hist:
+                        if gate_of[site] == g:
+                            amps = _apply_paulis(amps, sites[site][0], np.array([0]),
+                                                 np.array([label]), n)
+                np.testing.assert_allclose(rows[r].reshape(-1), amps[0], atol=1e-12)
 
     def test_drift_makes_zero_rate_gates_block_fusion(self):
-        c = measure_all(Circuit.from_gates(2, [Rz(0, 0.3), H(1), CX(0, 1), Rx(1, 0.2), CX(0, 1)]))
-        assert [sites for _, _, sites in _plan(c, NoiseModel.uniform(), None)] == [[]]
+        # Above 5 qubits a site closes its op: on 6 qubits, 4 of them idle, a
+        # drift that can lift a zero rate gives every gate its own op. On 2
+        # qubits the same sites ride on the one full-width op, in gate order.
+        gates = [Rz(0, 0.3), H(1), CX(0, 1), Rx(1, 0.2), CX(0, 1)]
+        c, wide = (measure_all(Circuit.from_gates(n, gates)) for n in (2, 6))
+        assert [sites for _, _, sites in _plan(wide, NoiseModel.uniform(), None)] == [[]]
         drift = NoiseModel.uniform(drift=DriftSchedule((0.0, 0.05)))
-        fired = [sites for _, _, sites in _plan(c, drift, drift.shot_offsets(2))]
-        assert fired == [[((0,), 0.0)], [((1,), 0.0)], [((0, 1), 0.0)], [((1,), 0.0)],
-                         [((0, 1), 0.0)]]
+        fired = [sites for _, _, sites in _plan(wide, drift, drift.shot_offsets(2))]
+        assert fired == [[((0,), 0.0, None)], [((1,), 0.0, None)], [((0, 1), 0.0, None)],
+                         [((1,), 0.0, None)], [((0, 1), 0.0, None)]]
+        (op,) = _plan(c, drift, drift.shot_offsets(2))
+        assert [(qubits, rate) for qubits, rate, _ in op[2]] \
+            == [(qubits, rate) for [(qubits, rate, _)] in fired]
+        assert op[2][-1][2] is None  # nothing follows the last gate
         # A drift that never lifts a rate above 0 draws nothing, so nothing blocks fusion.
         flat = NoiseModel.uniform(drift=DriftSchedule((0.0, -0.05)))
-        assert len(_plan(c, flat, flat.shot_offsets(2))) == 1
+        assert len(_plan(wide, flat, flat.shot_offsets(2))) == 1
+        assert [sites for _, _, sites in _plan(c, flat, flat.shot_offsets(2))] == [[]]
 
     def test_noisy_gate_after_noiseless_pair_starts_its_own_op(self):
         # Merging the noisy CX into the open CZ op would draw its errors too early.
-        c = measure_all(Circuit.from_gates(3, [CZ(0, 1), H(0), X(2), CX(1, 0), CZ(0, 1)]))
+        # Sites close ops above 5 qubits, so the plan is read on 6 (3 idle); the
+        # samples are checked on 3 qubits, where the plan is one op.
+        gates = [CZ(0, 1), H(0), X(2), CX(1, 0), CZ(0, 1)]
         noise = NoiseModel(gate_error={GateKind.CX: 0.3, GateKind.X: 0.3})
-        plan = _plan(c, noise, None)
+        plan = _plan(Circuit.from_gates(6, gates), noise, None)
         assert [(targets, sites) for targets, _, sites in plan] == [
-            ((0, 1), []), ((2,), [((2,), 0.3)]), ((1, 0), [((1, 0), 0.3)]), ((0, 1), [])]
+            ((0, 1), []), ((2,), [((2,), 0.3, None)]), ((1, 0), [((1, 0), 0.3, None)]),
+            ((0, 1), [])]
+        c = measure_all(Circuit.from_gates(3, gates))
+        assert len(_plan(c, noise, None)) == 1
         assert sample_counts(c, 200, noise, SeedStream(70).generator()) \
             == reference_sample_counts(c, 200, noise, SeedStream(70).generator())
 
     def test_noisy_pauli_layer_closes_every_target(self):
         # Each target of a noisy layer is a site: its letters are applied before the
-        # draws, and the next CX on the pair does not fuse back over them.
-        c = Circuit.from_gates(3, [CX(0, 2), PauliLayer([0, 2], "XI"), CX(0, 2)])
-        assert [(targets, sites) for targets, _, sites in _plan(c, NoiseModel.uniform(), None)] \
+        # draws, and the next CX on the pair does not fuse back over them. The plan
+        # is read on 6 qubits (3 idle), where sites close ops; the samples on 3.
+        gates = [CX(0, 2), PauliLayer([0, 2], "XI"), CX(0, 2)]
+        wide = Circuit.from_gates(6, gates)
+        assert [(targets, sites) for targets, _, sites in _plan(wide, NoiseModel.uniform(), None)] \
             == [((0, 2), [])]
-        plan = _plan(c, NoiseModel.uniform(p1=0.1), None)
+        noise = NoiseModel.uniform(p1=0.1)
+        plan = _plan(wide, noise, None)
         assert [(targets, sites) for targets, _, sites in plan] == [
-            ((0, 2), []), ((2,), [((0,), 0.1), ((2,), 0.1)]), ((0, 2), [])]
+            ((0, 2), []), ((2,), [((0,), 0.1, None), ((2,), 0.1, None)]), ((0, 2), [])]
         # The lone X on qubit 0 folds into the open (0, 2) op, ahead of the draws.
         np.testing.assert_array_equal(
             plan[0][1], np.kron(pauli_matrix("X"), np.eye(2)) @ gate_unitary(CX(0, 2)))
         np.testing.assert_array_equal(plan[1][1], np.eye(2))
+        c = measure_all(Circuit.from_gates(3, gates))
+        assert sample_counts(c, 200, noise, SeedStream(71).generator()) \
+            == reference_sample_counts(c, 200, noise, SeedStream(71).generator())
 
     @pytest.mark.parametrize("noise", [
         NoiseModel.uniform(p2=0.2, readout=0.05),
@@ -456,15 +488,28 @@ class TestExecutionPlan:
         assert len(_plan(lowered, None, None)) == 34
 
     def test_lowered_qv5_circuit_fuses_to_pinned_op_counts(self):
-        # QV-5 circuit 0 of the noisy QV benchmark at seed 2026: noiseless, one
-        # full-width op; under p2 = 0.05 each of the 30 CX gates carries its site
-        # and the site-free ops between them merge into 5 blocks.
+        # QV-5 circuit 0 of the noisy QV benchmark at seed 2026 is one full-width
+        # op, noiseless or not: under p2 = 0.05 it carries the sites of its 30 CX
+        # gates in firing order, each with the frame of the gates after it.
         circuit = qv_model_circuit(5, SeedStream(2026, (0,)).child(5, 0).child(0))
         lowered, _ = run_pipeline(measure_all(circuit), DeviceModel.complete(5), TranspileConfig())
         assert len(_plan(lowered, None, None)) == 1
-        plan = _plan(lowered, NoiseModel.uniform(p2=0.05), None)
-        assert sum(bool(sites) for _, _, sites in plan) == 30
-        assert len(plan) == 35
+        noise = NoiseModel.uniform(p2=0.05)
+        (op,) = _plan(lowered, noise, None)
+        assert op[0] == (0, 1, 2, 3, 4) and len(op[2]) == 30
+        firing = firing_sites(noise, list(lowered.all_gates()), None)
+        assert [(qubits, rate) for qubits, rate, _ in op[2]] == [s for sites in firing for s in sites]
+        assert all(frame.shape == (32, 32) for _, _, frame in op[2])
+
+    def test_plans_above_five_qubits_keep_their_op_counts(self):
+        # The seed-76 layered 6-qubit circuit on complete(6) runs the block path,
+        # where sites close ops: its op counts are pinned under 1q and 2q noise,
+        # under 2q noise alone, and without noise.
+        source = measure_all(layered_model_circuit(6, 6, SeedStream(76, (6,))))
+        lowered, _ = run_pipeline(source, DeviceModel.complete(6), TranspileConfig())
+        counts = [len(_plan(lowered, noise, None)) for noise in (
+            NoiseModel.uniform(p1=0.02, p2=0.03), NoiseModel.uniform(p2=0.05), None)]
+        assert counts == [324, 60, 7]
 
     @pytest.mark.parametrize("noise", [None, NoiseModel.uniform(p1=0.1, p2=0.1)],
                              ids=["noiseless", "noisy"])
@@ -489,11 +534,36 @@ class TestExecutionPlan:
     @given(circuit=_any_circuit(), noise=_any_noise())
     @settings(max_examples=150)
     def test_plan_sites_are_the_firing_sites_in_order(self, circuit, noise):
+        # Up to 5 qubits the plan is one op on every qubit, or none. A site's
+        # frame V carries its Pauli P past the later gates: V P V† = A P A†, A
+        # the product of the gates after the site's own, in circuit order. X
+        # and Z on each of the site's qubits generate every label.
+        n = circuit.n_qubits
         offsets = noise.shot_offsets(9)
+        gates = list(circuit.all_gates())
+        firing = firing_sites(noise, gates, offsets)
         plan = _plan(circuit, noise, offsets)
-        assert [s for _, _, sites in plan for s in sites] \
-            == [s for sites in firing_sites(noise, list(circuit.all_gates()), offsets) for s in sites]
-        assert all(len(targets) <= 2 for targets, _, sites in plan if sites)
+        assert [(qubits, rate) for _, _, sites in plan for qubits, rate, _ in sites] \
+            == [s for sites in firing for s in sites]
+        assert [targets for targets, _, _ in plan] in ([], [tuple(range(n))])
+
+        def on_all(unitary, targets):
+            return apply_unitary_batch(np.eye(1 << n, dtype=complex), unitary, targets, n).T
+
+        frames = [frame for _, _, sites in plan for _, _, frame in sites]
+        after = np.eye(1 << n, dtype=complex)
+        for gate, sites in zip(reversed(gates), reversed(firing)):
+            for qubits, _ in reversed(sites):
+                frame = frames.pop()
+                frame = np.eye(1 << n) if frame is None else frame
+                for q in qubits:
+                    for letter in "XZ":
+                        pauli = on_all(pauli_matrix(letter), (q,))
+                        np.testing.assert_allclose(frame @ pauli @ frame.conj().T,
+                                                   after @ pauli @ after.conj().T, atol=1e-12)
+            if gate.kind not in (GateKind.MEASURE, GateKind.BARRIER):
+                after = after @ on_all(gate_unitary(gate), gate.targets)
+        assert not frames
 
     @given(_any_circuit())
     @settings(max_examples=150)
@@ -505,7 +575,8 @@ class TestExecutionPlan:
 
     @pytest.mark.parametrize("n", [3, 5, 6, 9])
     def test_no_block_exceeds_the_width_rule(self, n):
-        # Every qubit up to 5 qubits, else 4; the noiseless plans reach that width.
+        # Up to 5 qubits one op on every qubit, noisy or not; else blocks of at
+        # most 4 qubits, which the noiseless plans reach.
         source = measure_all(layered_model_circuit(n, n, SeedStream(76, (n,))))
         lowered, _ = run_pipeline(source, DeviceModel.complete(n), TranspileConfig())
         width = n if n <= 5 else 4
@@ -513,6 +584,7 @@ class TestExecutionPlan:
             plan = _plan(lowered, noise, None)
             widest = max(len(targets) for targets, _, _ in plan)
             assert widest == width if noise is None else widest <= width
+            assert len(plan) == 1 or n > 5
             np.testing.assert_allclose(
                 _evolve_amplitudes(plan, n), reference_amplitudes(lowered), atol=1e-12)
 
